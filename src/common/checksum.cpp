@@ -1,7 +1,6 @@
 #include "common/checksum.h"
 
 #include <array>
-#include <cstdio>
 
 namespace mb2 {
 
@@ -29,34 +28,6 @@ uint32_t Crc32(const void *data, size_t len, uint32_t crc) {
     c = table[(c ^ bytes[i]) & 0xffU] ^ (c >> 8);
   }
   return c ^ 0xffffffffU;
-}
-
-Result<uint32_t> Crc32OfFile(const std::string &path, int64_t skip_trailing) {
-  FILE *f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IoError("cannot open " + path);
-  std::fseek(f, 0, SEEK_END);
-  const int64_t size = std::ftell(f);
-  if (size < skip_trailing) {
-    std::fclose(f);
-    return Status::InvalidArgument(path + " shorter than its checksum footer");
-  }
-  std::fseek(f, 0, SEEK_SET);
-  uint32_t crc = 0;
-  uint8_t buf[1 << 14];
-  int64_t remaining = size - skip_trailing;
-  while (remaining > 0) {
-    const size_t want = static_cast<size_t>(
-        remaining < static_cast<int64_t>(sizeof(buf)) ? remaining : sizeof(buf));
-    const size_t got = std::fread(buf, 1, want, f);
-    if (got == 0) {
-      std::fclose(f);
-      return Status::IoError("short read while checksumming " + path);
-    }
-    crc = Crc32(buf, got, crc);
-    remaining -= static_cast<int64_t>(got);
-  }
-  std::fclose(f);
-  return crc;
 }
 
 }  // namespace mb2

@@ -2,23 +2,16 @@
 
 /// \file checksum.h
 /// CRC32 (IEEE 802.3 polynomial, the zlib/gzip variant) for detecting
-/// corrupt or truncated persisted model files. Table-driven, one pass.
+/// corrupt or truncated bytes: model files, wire frames, heap pages and
+/// shipped WAL batches. Table-driven, one pass.
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-
-#include "common/status.h"
 
 namespace mb2 {
 
 /// Incremental CRC32: pass the previous return value as `crc` to continue a
 /// running checksum (start with 0).
 uint32_t Crc32(const void *data, size_t len, uint32_t crc = 0);
-
-/// CRC32 of a file's contents, excluding the final `skip_trailing` bytes
-/// (where a stored checksum footer lives). Errors on open failure or when the
-/// file is shorter than `skip_trailing`.
-Result<uint32_t> Crc32OfFile(const std::string &path, int64_t skip_trailing = 0);
 
 }  // namespace mb2

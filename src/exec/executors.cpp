@@ -4,6 +4,7 @@
 #include <chrono>
 #include <unordered_map>
 
+#include "common/serde.h"
 #include "exec/compiled_executor.h"
 #include "exec/interpreter.h"
 #include "exec/vector_ops.h"
@@ -11,7 +12,6 @@
 #include "metrics/metrics_collector.h"
 #include "metrics/work_stats.h"
 #include "obs/trace.h"
-#include "wal/log_record.h"
 
 namespace mb2 {
 
@@ -853,16 +853,14 @@ Status ExecOutput(const OutputPlan &plan, ExecutionContext *ctx, Batch *out) {
       out->AvgTupleBytes(), 0.0, 0.0, 1.0, ctx->ModeFeature());
   OuTrackerScope scope(OuType::kOutput, std::move(features));
 
-  // Serialize rows into the wire buffer (row-count header per row batch).
+  // Serialize rows into the output buffer in the shared Value encoding.
   auto &wire = ctx->output_buffer();
   wire.clear();
-  RedoRecord fake;  // reuse the value serializer
-  fake.op = LogOpType::kCommit;
-  WorkStats &ws = WorkStats::Current();
+  ByteWriter w(&wire);
   for (const auto &row : out->rows) {
-    fake.after = row;
-    SerializeRedoRecord(fake, 0, &wire);
+    for (const auto &v : row) PutValue(&w, v);
   }
+  WorkStats &ws = WorkStats::Current();
   ws.tuples_processed += out->rows.size();
   ws.bytes_written += wire.size();
   ctx->rows_output += out->rows.size();

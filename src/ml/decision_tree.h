@@ -35,12 +35,8 @@ class DecisionTree : public Regressor {
   void AccumulatePredictions(const Matrix &x, double scale, Matrix *out) const;
 
   MlAlgorithm algorithm() const override { return MlAlgorithm::kRandomForest; }
-  uint64_t SerializedBytes() const override {
-    return nodes_.size() * sizeof(Node) + NumLeafValueBytes() + 64;
-  }
-
-  void Save(BinaryWriter *writer) const override;
-  void LoadFrom(BinaryReader *reader) override;
+  void Save(ByteWriter *writer) const override;
+  void LoadFrom(ByteReader *reader) override;
 
   size_t NumNodes() const { return nodes_.size(); }
   size_t leaf_width() const { return leaf_width_; }
@@ -55,7 +51,6 @@ class DecisionTree : public Regressor {
     int32_t leaf_offset = -1;  ///< element offset into leaf_values_ (leaves)
   };
 
-  uint64_t NumLeafValueBytes() const { return leaf_values_.size() * sizeof(double); }
   int32_t Build(const Matrix &x, const Matrix &y, std::vector<size_t> *rows,
                 uint32_t depth);
   /// Appends the mean target vector of rows to leaf_values_; returns its offset.

@@ -49,10 +49,4 @@ void GradientBoosting::PredictBatch(const Matrix &x, Matrix *out) const {
   }
 }
 
-uint64_t GradientBoosting::SerializedBytes() const {
-  uint64_t bytes = 64 + base_.size() * sizeof(double);
-  for (const auto &t : trees_) bytes += t->SerializedBytes();
-  return bytes;
-}
-
 }  // namespace mb2

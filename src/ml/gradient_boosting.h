@@ -27,9 +27,8 @@ class GradientBoosting : public Regressor {
   std::vector<double> Predict(const std::vector<double> &x) const override;
   void PredictBatch(const Matrix &x, Matrix *out) const override;
   MlAlgorithm algorithm() const override { return MlAlgorithm::kGradientBoosting; }
-  uint64_t SerializedBytes() const override;
-  void Save(BinaryWriter *writer) const override;
-  void LoadFrom(BinaryReader *reader) override;
+  void Save(ByteWriter *writer) const override;
+  void LoadFrom(ByteReader *reader) override;
 
 
  private:

@@ -20,12 +20,8 @@ class KernelRegression : public Regressor {
   std::vector<double> Predict(const std::vector<double> &x) const override;
   void PredictBatch(const Matrix &x, Matrix *out) const override;
   MlAlgorithm algorithm() const override { return MlAlgorithm::kKernel; }
-  uint64_t SerializedBytes() const override {
-    return (x_.rows() * x_.cols() + y_.rows() * y_.cols()) * sizeof(double) + 64;
-  }
-
-  void Save(BinaryWriter *writer) const override;
-  void LoadFrom(BinaryReader *reader) override;
+  void Save(ByteWriter *writer) const override;
+  void LoadFrom(ByteReader *reader) override;
 
  private:
   /// Rebuilds xt_ (the d × ns column-major copy of x_); called after Fit and

@@ -17,12 +17,8 @@ class LinearRegression : public Regressor {
   std::vector<double> Predict(const std::vector<double> &x) const override;
   void PredictBatch(const Matrix &x, Matrix *out) const override;
   MlAlgorithm algorithm() const override { return MlAlgorithm::kLinear; }
-  uint64_t SerializedBytes() const override {
-    return weights_.rows() * weights_.cols() * sizeof(double) + 64;
-  }
-
-  void Save(BinaryWriter *writer) const override;
-  void LoadFrom(BinaryReader *reader) override;
+  void Save(ByteWriter *writer) const override;
+  void LoadFrom(ByteReader *reader) override;
 
   const Matrix &weights() const { return weights_; }
 

@@ -210,12 +210,4 @@ void NeuralNetwork::PredictBatch(const Matrix &x, Matrix *out) const {
   y_std_.InverseTransformInPlace(out);
 }
 
-uint64_t NeuralNetwork::SerializedBytes() const {
-  uint64_t bytes = 128;
-  for (const auto &layer : layers_) {
-    bytes += (layer.w.size() + layer.b.size()) * sizeof(double);
-  }
-  return bytes;
-}
-
 }  // namespace mb2

@@ -13,13 +13,13 @@
 
 namespace mb2 {
 
-void SaveMatrix(const Matrix &m, BinaryWriter *writer) {
+void SaveMatrix(const Matrix &m, ByteWriter *writer) {
   writer->Put<uint64_t>(m.rows());
   writer->Put<uint64_t>(m.cols());
   writer->PutDoubles(m.data());
 }
 
-Matrix LoadMatrix(BinaryReader *reader) {
+Matrix LoadMatrix(ByteReader *reader) {
   const uint64_t rows = reader->Get<uint64_t>();
   const uint64_t cols = reader->Get<uint64_t>();
   const std::vector<double> data = reader->GetDoubles();
@@ -36,12 +36,12 @@ Matrix LoadMatrix(BinaryReader *reader) {
   return m;
 }
 
-void SaveStandardizer(const Standardizer &s, BinaryWriter *writer) {
+void SaveStandardizer(const Standardizer &s, ByteWriter *writer) {
   writer->PutDoubles(s.mean());
   writer->PutDoubles(s.stddev());
 }
 
-Standardizer LoadStandardizer(BinaryReader *reader) {
+Standardizer LoadStandardizer(ByteReader *reader) {
   Standardizer s;
   std::vector<double> mean = reader->GetDoubles();
   std::vector<double> stddev = reader->GetDoubles();
@@ -53,12 +53,18 @@ Standardizer LoadStandardizer(BinaryReader *reader) {
   return s;
 }
 
-void SaveRegressor(const Regressor &model, BinaryWriter *writer) {
+void SaveRegressor(const Regressor &model, ByteWriter *writer) {
   writer->Put<uint8_t>(static_cast<uint8_t>(model.algorithm()));
   model.Save(writer);
 }
 
-std::unique_ptr<Regressor> LoadRegressor(BinaryReader *reader) {
+uint64_t Regressor::SerializedBytes() const {
+  ByteWriter writer;
+  SaveRegressor(*this, &writer);
+  return writer.size();
+}
+
+std::unique_ptr<Regressor> LoadRegressor(ByteReader *reader) {
   const uint8_t tag = reader->Get<uint8_t>();
   if (!reader->ok() || tag >= kNumMlAlgorithms) return nullptr;
   auto model = CreateRegressor(static_cast<MlAlgorithm>(tag));
@@ -69,35 +75,35 @@ std::unique_ptr<Regressor> LoadRegressor(BinaryReader *reader) {
 
 // --- Linear / Huber ----------------------------------------------------------
 
-void LinearRegression::Save(BinaryWriter *writer) const {
+void LinearRegression::Save(ByteWriter *writer) const {
   SaveStandardizer(x_std_, writer);
   SaveMatrix(weights_, writer);
 }
 
-void LinearRegression::LoadFrom(BinaryReader *reader) {
+void LinearRegression::LoadFrom(ByteReader *reader) {
   x_std_ = LoadStandardizer(reader);
   weights_ = LoadMatrix(reader);
 }
 
-void HuberRegression::Save(BinaryWriter *writer) const {
+void HuberRegression::Save(ByteWriter *writer) const {
   SaveStandardizer(x_std_, writer);
   SaveMatrix(weights_, writer);
 }
 
-void HuberRegression::LoadFrom(BinaryReader *reader) {
+void HuberRegression::LoadFrom(ByteReader *reader) {
   x_std_ = LoadStandardizer(reader);
   weights_ = LoadMatrix(reader);
 }
 
 // --- SVR ----------------------------------------------------------------------
 
-void SupportVectorRegression::Save(BinaryWriter *writer) const {
+void SupportVectorRegression::Save(ByteWriter *writer) const {
   SaveStandardizer(x_std_, writer);
   SaveStandardizer(y_std_, writer);
   SaveMatrix(weights_, writer);
 }
 
-void SupportVectorRegression::LoadFrom(BinaryReader *reader) {
+void SupportVectorRegression::LoadFrom(ByteReader *reader) {
   x_std_ = LoadStandardizer(reader);
   y_std_ = LoadStandardizer(reader);
   weights_ = LoadMatrix(reader);
@@ -105,14 +111,14 @@ void SupportVectorRegression::LoadFrom(BinaryReader *reader) {
 
 // --- Kernel ---------------------------------------------------------------------
 
-void KernelRegression::Save(BinaryWriter *writer) const {
+void KernelRegression::Save(ByteWriter *writer) const {
   writer->Put<double>(bandwidth_);
   SaveStandardizer(x_std_, writer);
   SaveMatrix(x_, writer);
   SaveMatrix(y_, writer);
 }
 
-void KernelRegression::LoadFrom(BinaryReader *reader) {
+void KernelRegression::LoadFrom(ByteReader *reader) {
   bandwidth_ = reader->Get<double>();
   x_std_ = LoadStandardizer(reader);
   x_ = LoadMatrix(reader);
@@ -123,13 +129,14 @@ void KernelRegression::LoadFrom(BinaryReader *reader) {
 // --- Decision tree ----------------------------------------------------------------
 
 namespace {
-// High bit on the node count marks the flattened-leaf format. Legacy counts
-// were always rejected above 1<<28, so the flag can never collide with a
-// valid old-format header.
+// High bit on the node count marks the flattened-leaf format, the only one
+// written; the bit stays in the layout so files keep their bytes.
 constexpr uint64_t kFlatTreeFormatFlag = 1ull << 63;
+// feature + threshold + left + right + leaf_offset.
+constexpr int64_t kTreeNodeBytes = 4 + 8 + 4 + 4 + 4;
 }  // namespace
 
-void DecisionTree::Save(BinaryWriter *writer) const {
+void DecisionTree::Save(ByteWriter *writer) const {
   writer->Put<uint64_t>(nodes_.size() | kFlatTreeFormatFlag);
   for (const Node &node : nodes_) {
     writer->Put<int32_t>(node.feature);
@@ -142,68 +149,49 @@ void DecisionTree::Save(BinaryWriter *writer) const {
   writer->PutDoubles(leaf_values_);
 }
 
-void DecisionTree::LoadFrom(BinaryReader *reader) {
+void DecisionTree::LoadFrom(ByteReader *reader) {
   const uint64_t header = reader->Get<uint64_t>();
-  const bool flat = (header & kFlatTreeFormatFlag) != 0;
   const uint64_t n = header & ~kFlatTreeFormatFlag;
-  if (!reader->ok() || n > (1ull << 28)) return;
-  nodes_.clear();
-  nodes_.reserve(n);
-  leaf_values_.clear();
-  leaf_width_ = 0;
-  if (flat) {
-    for (uint64_t i = 0; i < n && reader->ok(); i++) {
-      Node node;
-      node.feature = reader->Get<int32_t>();
-      node.threshold = reader->Get<double>();
-      node.left = reader->Get<int32_t>();
-      node.right = reader->Get<int32_t>();
-      node.leaf_offset = reader->Get<int32_t>();
-      nodes_.push_back(node);
-    }
-    leaf_width_ = reader->Get<uint64_t>();
-    leaf_values_ = reader->GetDoubles();
-    // Validate every leaf offset against the pool so a corrupt payload can't
-    // produce out-of-bounds reads at predict time.
-    for (const Node &node : nodes_) {
-      if (node.feature >= 0) continue;
-      if (node.leaf_offset < 0 ||
-          static_cast<uint64_t>(node.leaf_offset) + leaf_width_ >
-              leaf_values_.size()) {
-        reader->MarkCorrupt();
-        return;
-      }
-    }
+  if (!reader->ok()) return;
+  if ((header & kFlatTreeFormatFlag) == 0 ||
+      n > static_cast<uint64_t>(reader->RemainingBytes() / kTreeNodeBytes)) {
+    reader->MarkCorrupt();
     return;
   }
-  // Legacy format: each node carried its own leaf vector. Fold the vectors
-  // into the contiguous pool on the way in.
+  nodes_.clear();
+  nodes_.reserve(n);
   for (uint64_t i = 0; i < n && reader->ok(); i++) {
     Node node;
     node.feature = reader->Get<int32_t>();
     node.threshold = reader->Get<double>();
     node.left = reader->Get<int32_t>();
     node.right = reader->Get<int32_t>();
-    const std::vector<double> leaf = reader->GetDoubles();
-    if (!leaf.empty()) {
-      node.leaf_offset = static_cast<int32_t>(leaf_values_.size());
-      leaf_values_.insert(leaf_values_.end(), leaf.begin(), leaf.end());
-      leaf_width_ = leaf.size();
-    } else if (node.feature < 0) {
-      node.leaf_offset = 0;  // zero-width leaf (degenerate 0-output tree)
-    }
+    node.leaf_offset = reader->Get<int32_t>();
     nodes_.push_back(node);
+  }
+  leaf_width_ = reader->Get<uint64_t>();
+  leaf_values_ = reader->GetDoubles();
+  // Validate every leaf offset against the pool so a corrupt payload can't
+  // produce out-of-bounds reads at predict time.
+  for (const Node &node : nodes_) {
+    if (node.feature >= 0) continue;
+    if (node.leaf_offset < 0 ||
+        static_cast<uint64_t>(node.leaf_offset) + leaf_width_ >
+            leaf_values_.size()) {
+      reader->MarkCorrupt();
+      return;
+    }
   }
 }
 
 // --- Ensembles ----------------------------------------------------------------------
 
-void RandomForest::Save(BinaryWriter *writer) const {
+void RandomForest::Save(ByteWriter *writer) const {
   writer->Put<uint32_t>(static_cast<uint32_t>(trees_.size()));
   for (const auto &tree : trees_) tree->Save(writer);
 }
 
-void RandomForest::LoadFrom(BinaryReader *reader) {
+void RandomForest::LoadFrom(ByteReader *reader) {
   const uint32_t n = reader->Get<uint32_t>();
   trees_.clear();
   for (uint32_t i = 0; i < n && reader->ok(); i++) {
@@ -213,14 +201,14 @@ void RandomForest::LoadFrom(BinaryReader *reader) {
   }
 }
 
-void GradientBoosting::Save(BinaryWriter *writer) const {
+void GradientBoosting::Save(ByteWriter *writer) const {
   writer->Put<double>(learning_rate_);
   writer->PutDoubles(base_);
   writer->Put<uint32_t>(static_cast<uint32_t>(trees_.size()));
   for (const auto &tree : trees_) tree->Save(writer);
 }
 
-void GradientBoosting::LoadFrom(BinaryReader *reader) {
+void GradientBoosting::LoadFrom(ByteReader *reader) {
   learning_rate_ = reader->Get<double>();
   base_ = reader->GetDoubles();
   const uint32_t n = reader->Get<uint32_t>();
@@ -234,7 +222,7 @@ void GradientBoosting::LoadFrom(BinaryReader *reader) {
 
 // --- Neural network -------------------------------------------------------------------
 
-void NeuralNetwork::Save(BinaryWriter *writer) const {
+void NeuralNetwork::Save(ByteWriter *writer) const {
   SaveStandardizer(x_std_, writer);
   SaveStandardizer(y_std_, writer);
   writer->Put<uint32_t>(static_cast<uint32_t>(layers_.size()));
@@ -246,7 +234,7 @@ void NeuralNetwork::Save(BinaryWriter *writer) const {
   }
 }
 
-void NeuralNetwork::LoadFrom(BinaryReader *reader) {
+void NeuralNetwork::LoadFrom(ByteReader *reader) {
   x_std_ = LoadStandardizer(reader);
   y_std_ = LoadStandardizer(reader);
   const uint32_t n = reader->Get<uint32_t>();

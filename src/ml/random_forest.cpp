@@ -43,10 +43,4 @@ void RandomForest::PredictBatch(const Matrix &x, Matrix *out) const {
   }
 }
 
-uint64_t RandomForest::SerializedBytes() const {
-  uint64_t bytes = 64;
-  for (const auto &t : trees_) bytes += t->SerializedBytes();
-  return bytes;
-}
-
 }  // namespace mb2

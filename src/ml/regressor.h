@@ -52,27 +52,28 @@ class Regressor {
   virtual MlAlgorithm algorithm() const = 0;
   const char *Name() const { return MlAlgorithmName(algorithm()); }
 
-  /// Approximate size of the persisted model (Table 2's model-size column).
-  virtual uint64_t SerializedBytes() const = 0;
+  /// Exact size of the persisted model, i.e. the bytes SaveRegressor writes
+  /// (Table 2's model-size column).
+  uint64_t SerializedBytes() const;
 
   /// Persists the fitted parameters (algorithm tag written by
   /// SaveRegressor, not here).
-  virtual void Save(BinaryWriter *writer) const = 0;
+  virtual void Save(ByteWriter *writer) const = 0;
   /// Restores parameters into a freshly constructed instance.
-  virtual void LoadFrom(BinaryReader *reader) = 0;
+  virtual void LoadFrom(ByteReader *reader) = 0;
 };
 
 /// Writes the algorithm tag + parameters.
-void SaveRegressor(const Regressor &model, BinaryWriter *writer);
+void SaveRegressor(const Regressor &model, ByteWriter *writer);
 /// Reads the tag, constructs via CreateRegressor, restores parameters.
 /// Returns null when the stream is corrupt.
-std::unique_ptr<Regressor> LoadRegressor(BinaryReader *reader);
+std::unique_ptr<Regressor> LoadRegressor(ByteReader *reader);
 
 // Shared helpers for model state.
-void SaveMatrix(const Matrix &m, BinaryWriter *writer);
-Matrix LoadMatrix(BinaryReader *reader);
-void SaveStandardizer(const Standardizer &s, BinaryWriter *writer);
-Standardizer LoadStandardizer(BinaryReader *reader);
+void SaveMatrix(const Matrix &m, ByteWriter *writer);
+Matrix LoadMatrix(ByteReader *reader);
+void SaveStandardizer(const Standardizer &s, ByteWriter *writer);
+Standardizer LoadStandardizer(ByteReader *reader);
 
 /// Factory with MB2's default hyperparameters (Sec 8: random forest with 50
 /// estimators, NN with 2×25 neurons, GBM defaults scaled to our data sizes).

@@ -155,13 +155,19 @@ InterferenceDataset BuildInterferenceDataset(
 
 
 
-void InterferenceModel::Save(BinaryWriter *writer) const {
+void InterferenceModel::Save(ByteWriter *writer) const {
   writer->Put<uint8_t>(static_cast<uint8_t>(best_algorithm_));
   writer->Put<uint8_t>(model_ != nullptr ? 1 : 0);
   if (model_ != nullptr) SaveRegressor(*model_, writer);
 }
 
-void InterferenceModel::LoadFrom(BinaryReader *reader) {
+uint64_t InterferenceModel::SerializedBytes() const {
+  ByteWriter writer;
+  Save(&writer);
+  return writer.size();
+}
+
+void InterferenceModel::LoadFrom(ByteReader *reader) {
   best_algorithm_ = static_cast<MlAlgorithm>(reader->Get<uint8_t>());
   if (reader->Get<uint8_t>() != 0) model_ = LoadRegressor(reader);
 }

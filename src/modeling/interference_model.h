@@ -49,15 +49,14 @@ class InterferenceModel {
       const std::vector<Labels> &per_thread_totals) const;
 
   /// Persistence (used by ModelBot::SaveModels / LoadModels).
-  void Save(BinaryWriter *writer) const;
-  void LoadFrom(BinaryReader *reader);
+  void Save(ByteWriter *writer) const;
+  void LoadFrom(ByteReader *reader);
 
   bool trained() const { return model_ != nullptr; }
   MlAlgorithm best_algorithm() const { return best_algorithm_; }
   const std::map<MlAlgorithm, double> &test_errors() const { return test_errors_; }
-  uint64_t SerializedBytes() const {
-    return model_ == nullptr ? 0 : model_->SerializedBytes();
-  }
+  /// Exact size of the persisted model: the bytes Save writes.
+  uint64_t SerializedBytes() const;
 
  private:
   std::unique_ptr<Regressor> model_;

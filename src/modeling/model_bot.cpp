@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <unordered_map>
 
@@ -50,10 +51,14 @@ TrainingReport ModelBot::TrainOuModels(const std::vector<OuRecord> &records,
     }
   }
   std::vector<std::unique_ptr<OuModel>> fitted(eligible.size());
+  // Sized here, outside models_mutex_: serializing a large model under the
+  // exclusive lock below would stall PredictOus.
+  std::vector<uint64_t> fitted_bytes(eligible.size());
   auto fit_one = [&](size_t i) {
     auto model = std::make_unique<OuModel>(eligible[i].first);
     model->Train(eligible[i].second->x, eligible[i].second->y, algorithms,
                  normalize, seed);
+    fitted_bytes[i] = model->SerializedBytes();
     fitted[i] = std::move(model);
   };
   if (pool != nullptr) {
@@ -71,7 +76,7 @@ TrainingReport ModelBot::TrainOuModels(const std::vector<OuRecord> &records,
     auto model = std::move(fitted[i]);
     report.per_ou_test_error[type] = model->best_test_error();
     report.per_ou_algorithm[type] = model->best_algorithm();
-    report.model_bytes += model->SerializedBytes();
+    report.model_bytes += fitted_bytes[i];
     report.samples += eligible[i].second->x.rows();
     ou_models_[type] = std::move(model);
     ou_cache_.Invalidate(type);  // stale predictions must not outlive the model
@@ -518,11 +523,9 @@ Status ModelBot::SaveModels(const std::string &dir) const {
   const std::string final_path = dir + "/mb2_models.bin";
   const std::string tmp_path = final_path + ".tmp";
 
+  ByteWriter w;
   {
     std::shared_lock<std::shared_mutex> lock(models_mutex_);
-    auto writer = BinaryWriter::Open(tmp_path);
-    if (!writer.ok()) return writer.status();
-    BinaryWriter &w = writer.value();
     w.Put<uint32_t>(kModelFileMagic);
     w.Put<uint32_t>(kModelFileVersion);
     w.Put<uint32_t>(static_cast<uint32_t>(ou_models_.size()));
@@ -533,25 +536,17 @@ Status ModelBot::SaveModels(const std::string &dir) const {
       for (size_t j = 0; j < kNumLabels; j++) w.Put<double>(labels[j]);
     }
     interference_.Save(&w);
-    w.Flush();
-    if (!w.ok()) {
-      w.Close();
-      std::remove(tmp_path.c_str());
-      return Status::IoError("short write while saving models to " + tmp_path);
-    }
   }
-
   // Seal the payload with a CRC32 footer so any later truncation or bit rot
   // is detected at load time.
-  auto crc = Crc32OfFile(tmp_path);
-  if (!crc.ok()) return crc.status();
-  {
-    FILE *f = std::fopen(tmp_path.c_str(), "ab");
-    if (f == nullptr) return Status::IoError("cannot append checksum to " + tmp_path);
-    const uint32_t value = crc.value();
-    const size_t wrote = std::fwrite(&value, sizeof(value), 1, f);
-    std::fclose(f);
-    if (wrote != 1) return Status::IoError("cannot append checksum to " + tmp_path);
+  w.Put<uint32_t>(Crc32(w.bytes().data(), w.size()));
+
+  FILE *f = std::fopen(tmp_path.c_str(), "wb");
+  if (f == nullptr) return Status::IoError("cannot open " + tmp_path);
+  const bool wrote = std::fwrite(w.bytes().data(), 1, w.size(), f) == w.size();
+  if (std::fclose(f) != 0 || !wrote) {
+    std::remove(tmp_path.c_str());
+    return Status::IoError("short write while saving models to " + tmp_path);
   }
 
   // Simulated save failure: the crash happens before the atomic rename, so
@@ -563,13 +558,11 @@ Status ModelBot::SaveModels(const std::string &dir) const {
       if (fc.action == FaultAction::kThrow) throw InjectedFault(fc.message);
       if (fc.action == FaultAction::kTornWrite) {
         std::error_code ec;
-        const auto size = std::filesystem::file_size(tmp_path, ec);
-        if (!ec) {
-          std::filesystem::resize_file(
-              tmp_path,
-              static_cast<uintmax_t>(static_cast<double>(size) * fc.torn_fraction),
-              ec);
-        }
+        std::filesystem::resize_file(
+            tmp_path,
+            static_cast<uintmax_t>(static_cast<double>(w.size()) *
+                                   fc.torn_fraction),
+            ec);
       } else {
         std::remove(tmp_path.c_str());
       }
@@ -596,25 +589,33 @@ Status ModelBot::LoadModels(const std::string &dir) {
     }
   }
 
-  // Checksum gate: recompute the payload CRC and compare with the footer
-  // before parsing a single byte.
+  std::vector<uint8_t> bytes;
   {
-    auto crc = Crc32OfFile(path, /*skip_trailing=*/sizeof(uint32_t));
-    if (!crc.ok()) return crc.status();
     FILE *f = std::fopen(path.c_str(), "rb");
     if (f == nullptr) return Status::IoError("cannot open " + path);
-    std::fseek(f, -static_cast<long>(sizeof(uint32_t)), SEEK_END);
-    uint32_t stored = 0;
-    const size_t got = std::fread(&stored, sizeof(stored), 1, f);
-    std::fclose(f);
-    if (got != 1 || stored != crc.value()) {
-      return Status::InvalidArgument("model file checksum mismatch: " + path);
+    uint8_t buf[1 << 14];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+      bytes.insert(bytes.end(), buf, buf + n);
     }
+    const bool failed = std::ferror(f) != 0;
+    std::fclose(f);
+    if (failed) return Status::IoError("cannot read " + path);
   }
 
-  auto reader = BinaryReader::Open(path);
-  if (!reader.ok()) return reader.status();
-  BinaryReader &r = reader.value();
+  // Checksum gate: the payload's CRC must match the footer before a single
+  // byte is parsed.
+  if (bytes.size() < sizeof(uint32_t)) {
+    return Status::InvalidArgument(path + " shorter than its checksum footer");
+  }
+  const size_t payload = bytes.size() - sizeof(uint32_t);
+  uint32_t stored = 0;
+  std::memcpy(&stored, bytes.data() + payload, sizeof(stored));
+  if (stored != Crc32(bytes.data(), payload)) {
+    return Status::InvalidArgument("model file checksum mismatch: " + path);
+  }
+
+  ByteReader r(bytes.data(), payload);
   if (r.Get<uint32_t>() != kModelFileMagic) {
     return Status::InvalidArgument("not an MB2 model file");
   }
@@ -644,7 +645,9 @@ Status ModelBot::LoadModels(const std::string &dir) {
     fallback[static_cast<OuType>(type_tag)] = labels;
   }
   interference_.LoadFrom(&r);
-  if (!r.ok()) return Status::InvalidArgument("corrupt model file");
+  if (!r.ok() || r.RemainingBytes() != 0) {
+    return Status::InvalidArgument("corrupt model file");
+  }
   std::unique_lock<std::shared_mutex> lock(models_mutex_);
   ou_models_ = std::move(loaded);
   fallback_labels_ = std::move(fallback);

@@ -94,7 +94,7 @@ std::map<OuType, OuDataset> GroupRecordsByOu(const std::vector<OuRecord> &record
 
 
 
-void OuModel::Save(BinaryWriter *writer) const {
+void OuModel::Save(ByteWriter *writer) const {
   writer->Put<uint8_t>(static_cast<uint8_t>(type_));
   writer->Put<uint8_t>(normalize_ ? 1 : 0);
   writer->Put<uint8_t>(static_cast<uint8_t>(best_algorithm_));
@@ -102,7 +102,13 @@ void OuModel::Save(BinaryWriter *writer) const {
   if (model_ != nullptr) SaveRegressor(*model_, writer);
 }
 
-std::unique_ptr<OuModel> OuModel::Load(BinaryReader *reader) {
+uint64_t OuModel::SerializedBytes() const {
+  ByteWriter writer;
+  Save(&writer);
+  return writer.size();
+}
+
+std::unique_ptr<OuModel> OuModel::Load(ByteReader *reader) {
   const uint8_t type_tag = reader->Get<uint8_t>();
   if (!reader->ok() || type_tag >= kNumOuTypes) return nullptr;
   auto model = std::make_unique<OuModel>(static_cast<OuType>(type_tag));

@@ -44,14 +44,13 @@ class OuModel {
   bool trained() const { return model_ != nullptr; }
   MlAlgorithm best_algorithm() const { return best_algorithm_; }
   const std::map<MlAlgorithm, double> &test_errors() const { return test_errors_; }
-  uint64_t SerializedBytes() const {
-    return model_ == nullptr ? 0 : model_->SerializedBytes();
-  }
+  /// Exact size of the persisted OU-model: the bytes Save writes.
+  uint64_t SerializedBytes() const;
 
   /// Persists type tag, normalization flag, and the fitted model.
-  void Save(BinaryWriter *writer) const;
+  void Save(ByteWriter *writer) const;
   /// Restores a saved OU-model; returns null on a corrupt stream.
-  static std::unique_ptr<OuModel> Load(BinaryReader *reader);
+  static std::unique_ptr<OuModel> Load(ByteReader *reader);
 
   /// Test-set relative error of the selected algorithm.
   double best_test_error() const {

@@ -51,126 +51,34 @@ Gauge &ConnectionsGauge() {
   return g;
 }
 
-Counter &RequestCounter(Opcode op) {
-  switch (op) {
-    case Opcode::kPing: {
-      static Counter &c = MetricsRegistry::Instance().GetCounter(
-          "mb2_net_requests_total{opcode=\"PING\"}");
-      return c;
-    }
-    case Opcode::kSqlQuery: {
-      static Counter &c = MetricsRegistry::Instance().GetCounter(
-          "mb2_net_requests_total{opcode=\"SQL_QUERY\"}");
-      return c;
-    }
-    case Opcode::kPredictOus: {
-      static Counter &c = MetricsRegistry::Instance().GetCounter(
-          "mb2_net_requests_total{opcode=\"PREDICT_OUS\"}");
-      return c;
-    }
-    case Opcode::kGetMetrics: {
-      static Counter &c = MetricsRegistry::Instance().GetCounter(
-          "mb2_net_requests_total{opcode=\"GET_METRICS\"}");
-      return c;
-    }
-    case Opcode::kSleep: {
-      static Counter &c = MetricsRegistry::Instance().GetCounter(
-          "mb2_net_requests_total{opcode=\"SLEEP\"}");
-      return c;
-    }
-    case Opcode::kReplSubscribe: {
-      static Counter &c = MetricsRegistry::Instance().GetCounter(
-          "mb2_net_requests_total{opcode=\"REPL_SUBSCRIBE\"}");
-      return c;
-    }
-    case Opcode::kReplLogBatch: {
-      static Counter &c = MetricsRegistry::Instance().GetCounter(
-          "mb2_net_requests_total{opcode=\"REPL_LOG_BATCH\"}");
-      return c;
-    }
-    case Opcode::kReplAck: {
-      static Counter &c = MetricsRegistry::Instance().GetCounter(
-          "mb2_net_requests_total{opcode=\"REPL_ACK\"}");
-      return c;
-    }
-    case Opcode::kHealth: {
-      static Counter &c = MetricsRegistry::Instance().GetCounter(
-          "mb2_net_requests_total{opcode=\"HEALTH\"}");
-      return c;
-    }
-  }
-  static Counter &c = MetricsRegistry::Instance().GetCounter(
-      "mb2_net_requests_total{opcode=\"UNKNOWN\"}");
-  return c;
+/// Obs handles and span name of one opcode, resolved once per process from
+/// the opcode table.
+struct OpcodeObs {
+  const char *span;
+  Counter *requests;
+  Histogram *latency;
+};
+
+OpcodeObs ResolveObs(const OpcodeInfo &info) {
+  const std::string label = std::string("{opcode=\"") + info.name + "\"}";
+  MetricsRegistry &registry = MetricsRegistry::Instance();
+  return {info.span, &registry.GetCounter("mb2_net_requests_total" + label),
+          &registry.GetHistogram("mb2_net_request_latency_us" + label)};
 }
 
-Histogram &LatencyHistogram(Opcode op) {
-  switch (op) {
-    case Opcode::kPing: {
-      static Histogram &h = MetricsRegistry::Instance().GetHistogram(
-          "mb2_net_request_latency_us{opcode=\"PING\"}");
-      return h;
-    }
-    case Opcode::kSqlQuery: {
-      static Histogram &h = MetricsRegistry::Instance().GetHistogram(
-          "mb2_net_request_latency_us{opcode=\"SQL_QUERY\"}");
-      return h;
-    }
-    case Opcode::kPredictOus: {
-      static Histogram &h = MetricsRegistry::Instance().GetHistogram(
-          "mb2_net_request_latency_us{opcode=\"PREDICT_OUS\"}");
-      return h;
-    }
-    case Opcode::kGetMetrics: {
-      static Histogram &h = MetricsRegistry::Instance().GetHistogram(
-          "mb2_net_request_latency_us{opcode=\"GET_METRICS\"}");
-      return h;
-    }
-    case Opcode::kSleep: {
-      static Histogram &h = MetricsRegistry::Instance().GetHistogram(
-          "mb2_net_request_latency_us{opcode=\"SLEEP\"}");
-      return h;
-    }
-    case Opcode::kReplSubscribe: {
-      static Histogram &h = MetricsRegistry::Instance().GetHistogram(
-          "mb2_net_request_latency_us{opcode=\"REPL_SUBSCRIBE\"}");
-      return h;
-    }
-    case Opcode::kReplLogBatch: {
-      static Histogram &h = MetricsRegistry::Instance().GetHistogram(
-          "mb2_net_request_latency_us{opcode=\"REPL_LOG_BATCH\"}");
-      return h;
-    }
-    case Opcode::kReplAck: {
-      static Histogram &h = MetricsRegistry::Instance().GetHistogram(
-          "mb2_net_request_latency_us{opcode=\"REPL_ACK\"}");
-      return h;
-    }
-    case Opcode::kHealth: {
-      static Histogram &h = MetricsRegistry::Instance().GetHistogram(
-          "mb2_net_request_latency_us{opcode=\"HEALTH\"}");
-      return h;
-    }
+const OpcodeObs &ObsFor(Opcode op) {
+  static const std::vector<OpcodeObs> known = [] {
+    std::vector<OpcodeObs> out;
+    for (const OpcodeInfo &info : kOpcodeTable) out.push_back(ResolveObs(info));
+    return out;
+  }();
+  for (size_t i = 0; i < known.size(); i++) {
+    if (kOpcodeTable[i].op == op) return known[i];
   }
-  static Histogram &h = MetricsRegistry::Instance().GetHistogram(
-      "mb2_net_request_latency_us{opcode=\"UNKNOWN\"}");
-  return h;
-}
-
-// ObsSpan names must be static strings (trace.h contract).
-const char *SpanName(Opcode op) {
-  switch (op) {
-    case Opcode::kPing: return "net.ping";
-    case Opcode::kSqlQuery: return "net.sql_query";
-    case Opcode::kPredictOus: return "net.predict_ous";
-    case Opcode::kGetMetrics: return "net.get_metrics";
-    case Opcode::kSleep: return "net.sleep";
-    case Opcode::kReplSubscribe: return "net.repl_subscribe";
-    case Opcode::kReplLogBatch: return "net.repl_log_batch";
-    case Opcode::kReplAck: return "net.repl_ack";
-    case Opcode::kHealth: return "net.health";
-  }
-  return "net.unknown";
+  // Registered on first use only, so the UNKNOWN series exists only once an
+  // unknown opcode has actually arrived.
+  static const OpcodeObs unknown = ResolveObs(kUnknownOpcode);
+  return unknown;
 }
 
 void SetNoDelay(int fd) {
@@ -584,7 +492,7 @@ void Server::HandleFrame(Reactor *reactor,
   MB2_UNUSED(reactor);
   n_requests_.fetch_add(1, std::memory_order_relaxed);
   sessions_.OnRequest(conn->session_id);
-  RequestCounter(frame.Op()).Add();
+  ObsFor(frame.Op()).requests->Add();
 
   const uint16_t resp_opcode = frame.opcode | kResponseBit;
   if (state_.load() != State::kRunning) {
@@ -642,7 +550,8 @@ void Server::HandleFrame(Reactor *reactor,
 void Server::ExecuteRequest(const std::shared_ptr<Connection> &conn,
                             Frame frame, int64_t deadline_us) {
   const int64_t start_us = NowMicros();
-  ObsSpan span(SpanName(frame.Op()));
+  const OpcodeObs &obs = ObsFor(frame.Op());
+  ObsSpan span(obs.span);
 
   std::vector<uint8_t> response;
   if (deadline_us > 0 && start_us > deadline_us) {
@@ -659,8 +568,7 @@ void Server::ExecuteRequest(const std::shared_ptr<Connection> &conn,
 
   SendResponse(conn, EncodeFrame(frame.opcode | kResponseBit, frame.request_id,
                                  std::move(response)));
-  LatencyHistogram(frame.Op())
-      .Observe(static_cast<double>(NowMicros() - start_us));
+  obs.latency->Observe(static_cast<double>(NowMicros() - start_us));
 }
 
 std::vector<uint8_t> Server::DispatchOpcode(const Frame &frame) {

@@ -70,7 +70,32 @@ enum class Opcode : uint16_t {
 };
 inline constexpr uint16_t kResponseBit = 0x8000;
 
-const char *OpcodeName(Opcode op);
+/// Per-opcode metadata, one row per Opcode: the name used in metric labels
+/// and logs, and the trace-span name (a literal, as ObsSpan requires).
+struct OpcodeInfo {
+  Opcode op;
+  const char *name;
+  const char *span;
+};
+inline constexpr OpcodeInfo kOpcodeTable[] = {
+    {Opcode::kPing, "PING", "net.ping"},
+    {Opcode::kSqlQuery, "SQL_QUERY", "net.sql_query"},
+    {Opcode::kPredictOus, "PREDICT_OUS", "net.predict_ous"},
+    {Opcode::kGetMetrics, "GET_METRICS", "net.get_metrics"},
+    {Opcode::kSleep, "SLEEP", "net.sleep"},
+    {Opcode::kReplSubscribe, "REPL_SUBSCRIBE", "net.repl_subscribe"},
+    {Opcode::kReplLogBatch, "REPL_LOG_BATCH", "net.repl_log_batch"},
+    {Opcode::kReplAck, "REPL_ACK", "net.repl_ack"},
+    {Opcode::kHealth, "HEALTH", "net.health"},
+    {Opcode::kCtrlStatus, "CTRL_STATUS", "net.ctrl_status"},
+};
+/// Row for an opcode outside the table (a malformed or newer request).
+inline constexpr OpcodeInfo kUnknownOpcode = {Opcode{0}, "UNKNOWN",
+                                              "net.unknown"};
+
+/// The table row of `op`, or kUnknownOpcode.
+const OpcodeInfo &LookupOpcode(Opcode op);
+inline const char *OpcodeName(Opcode op) { return LookupOpcode(op).name; }
 
 /// Status of a response, mapped to/from mb2::Status at the client boundary.
 enum class WireCode : uint16_t {

@@ -452,7 +452,10 @@ class Parser {
       }
     }
 
-    // Assemble aggregation / projection over the join output.
+    // Assemble aggregation / projection over the join output. `sort_row`
+    // describes the row ORDER BY sorts: per output position, the joined-row
+    // column it carries, or -1 for a computed value.
+    std::vector<int64_t> sort_row;
     if (has_aggregate) {
       auto agg = std::make_unique<AggregatePlan>();
       agg->group_by = group_by;
@@ -474,6 +477,9 @@ class Parser {
           return Error("expressions over aggregates are not supported");
         }
       }
+      // The aggregate emits its group keys, then one value per term.
+      sort_row.assign(agg->group_by.begin(), agg->group_by.end());
+      sort_row.resize(agg->group_by.size() + agg->terms.size(), -1);
       agg->children.push_back(std::move(root));
       root = std::move(agg);
     } else if (!(items.size() == 1 && items[0].kind == SelectItem::Kind::kStar)) {
@@ -482,10 +488,17 @@ class Parser {
         if (item.kind == SelectItem::Kind::kStar) {
           return Error("* cannot be mixed with other select items");
         }
+        sort_row.push_back(item.kind == SelectItem::Kind::kColumn
+                               ? static_cast<int64_t>(item.expr->col_idx)
+                               : -1);
         projection->exprs.push_back(std::move(item.expr));
       }
       projection->children.push_back(std::move(root));
       root = std::move(projection);
+    } else {
+      const FromTable &last = from_.back();
+      sort_row.resize(last.column_offset + last.table->schema().NumColumns());
+      for (size_t i = 0; i < sort_row.size(); i++) sort_row[i] = i;
     }
 
     // ORDER BY <output position|column> [ASC|DESC]
@@ -499,22 +512,34 @@ class Parser {
       if (!st.ok()) return st;
       sort = std::make_unique<SortPlan>();
       for (;;) {
+        const size_t key_pos = pos_;
         uint32_t out_col;
         if (Peek().type == TokenType::kInteger) {
+          const int64_t ordinal = Peek().int_value;
+          if (ordinal < 1 || ordinal > static_cast<int64_t>(sort_row.size())) {
+            return Error("ORDER BY position " + std::to_string(ordinal) +
+                         " is not in 1.." + std::to_string(sort_row.size()));
+          }
           // An output-position ordinal is part of the plan's *structure*
           // (it becomes a sort key), not a parameter: record it so the plan
           // cache never reuses this plan for a different ordinal.
-          const Token &ordinal = Next();
-          out_col = static_cast<uint32_t>(ordinal.int_value) - 1;  // 1-based
-          structural_literals.emplace_back(ordinal.literal_ordinal,
-                                           Value::Integer(ordinal.int_value));
+          structural_literals.emplace_back(Next().literal_ordinal,
+                                           Value::Integer(ordinal));
+          out_col = static_cast<uint32_t>(ordinal - 1);  // 1-based
         } else {
-          // Only meaningful for non-aggregate selects over raw rows.
+          // A name sorts by the output position that carries its column.
           auto name = ExpectIdentifier();
           if (!name.ok()) return name.status();
           auto col = ResolveColumn(name.value());
           if (!col.ok()) return col.status();
-          out_col = col.value();
+          const auto it = std::find(sort_row.begin(), sort_row.end(),
+                                    static_cast<int64_t>(col.value()));
+          if (it == sort_row.end()) {
+            pos_ = key_pos;
+            return Error("ORDER BY column '" + name.value() +
+                         "' is not in the query's output");
+          }
+          out_col = static_cast<uint32_t>(it - sort_row.begin());
         }
         sort->sort_keys.push_back(out_col);
         sort->descending.push_back(AcceptKeyword("DESC") ||

@@ -2,9 +2,14 @@
 
 #include <cstring>
 
+#include "common/serde.h"
+
 namespace mb2::page {
 
 namespace {
+
+/// [slot u64][num_values u32] before a row's values.
+constexpr size_t kRowHeaderBytes = 8 + 4;
 
 template <typename T>
 void PutRaw(uint8_t *dst, T v) {
@@ -18,82 +23,29 @@ T GetRaw(const uint8_t *src) {
   return v;
 }
 
-size_t ValueBytes(const Value &v) {
-  switch (v.type()) {
-    case TypeId::kInteger:
-    case TypeId::kDouble:
-      return 1 + 8;
-    case TypeId::kVarchar:
-      return 1 + 4 + v.AsVarchar().size();
-  }
-  return 9;
-}
-
-/// Encodes one value at `dst`; returns bytes written.
-size_t PutValue(uint8_t *dst, const Value &v) {
-  dst[0] = static_cast<uint8_t>(v.type());
-  switch (v.type()) {
-    case TypeId::kInteger:
-      PutRaw<int64_t>(dst + 1, v.AsInt());
-      return 9;
-    case TypeId::kDouble:
-      PutRaw<double>(dst + 1, v.AsDouble());
-      return 9;
-    case TypeId::kVarchar: {
-      const std::string &s = v.AsVarchar();
-      PutRaw<uint32_t>(dst + 1, static_cast<uint32_t>(s.size()));
-      std::memcpy(dst + 5, s.data(), s.size());
-      return 5 + s.size();
-    }
-  }
-  return 0;
-}
-
-/// Decodes one value from [src, end); advances *src. False on overrun.
-bool GetValue(const uint8_t **src, const uint8_t *end, Value *out) {
-  if (*src + 1 > end) return false;
-  const auto type = static_cast<TypeId>((*src)[0]);
-  switch (type) {
-    case TypeId::kInteger:
-      if (*src + 9 > end) return false;
-      *out = Value::Integer(GetRaw<int64_t>(*src + 1));
-      *src += 9;
-      return true;
-    case TypeId::kDouble:
-      if (*src + 9 > end) return false;
-      *out = Value::Double(GetRaw<double>(*src + 1));
-      *src += 9;
-      return true;
-    case TypeId::kVarchar: {
-      if (*src + 5 > end) return false;
-      const uint32_t len = GetRaw<uint32_t>(*src + 1);
-      if (*src + 5 + len > end) return false;
-      *out = Value::Varchar(
-          std::string(reinterpret_cast<const char *>(*src + 5), len));
-      *src += 5 + len;
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Decodes one row record starting at *src; advances past it.
-bool GetRowRecord(const uint8_t **src, const uint8_t *end, SlotId *slot,
-                  Tuple *row) {
-  if (*src + 12 > end) return false;
-  *slot = GetRaw<uint64_t>(*src);
-  const uint32_t nvals = GetRaw<uint32_t>(*src + 8);
-  *src += 12;
+/// Decodes one row record; false on an overrun or a corrupt value.
+bool GetRowRecord(ByteReader *r, SlotId *slot, Tuple *row) {
+  *slot = r->Get<uint64_t>();
+  const uint32_t nvals = r->Get<uint32_t>();
   // A value is at least 9 bytes; reject counts the region cannot hold.
-  if (nvals > (end - *src) / 9 + 1) return false;
+  if (!r->ok() || nvals > r->RemainingBytes() / 9 + 1) return false;
   row->clear();
   row->reserve(nvals);
   for (uint32_t i = 0; i < nvals; i++) {
-    Value v;
-    if (!GetValue(src, end, &v)) return false;
-    row->push_back(std::move(v));
+    row->emplace_back();
+    if (!GetValue(r, &row->back())) return false;
   }
   return true;
+}
+
+/// Reader over the page's used row region; IoError on a bad header.
+Result<ByteReader> RowRegion(const Page &p, PageId page_id) {
+  const uint32_t used = UsedBytes(p);
+  if (used < kPageHeaderSize || used > kPageSize) {
+    return Status::IoError("heap page " + std::to_string(page_id) +
+                           ": bad used-bytes header");
+  }
+  return ByteReader(p.bytes + kPageHeaderSize, used - kPageHeaderSize);
 }
 
 }  // namespace
@@ -110,65 +62,59 @@ uint32_t NumRows(const Page &p) { return GetRaw<uint32_t>(p.bytes + 12); }
 uint32_t UsedBytes(const Page &p) { return GetRaw<uint32_t>(p.bytes + 16); }
 
 size_t RowBytes(const Tuple &row) {
-  size_t size = 8 + 4;
-  for (const auto &v : row) size += ValueBytes(v);
+  size_t size = kRowHeaderBytes;
+  for (const auto &v : row) size += EncodedSize(v);
   return size;
 }
 
 bool AppendRow(Page *p, SlotId slot, const Tuple &row) {
+  // Encoded into a per-thread scratch buffer so appends reuse one
+  // allocation rather than making one per row.
+  thread_local std::vector<uint8_t> scratch;
+  scratch.clear();
+  ByteWriter w(&scratch);
+  w.Put<uint64_t>(slot);
+  w.Put<uint32_t>(static_cast<uint32_t>(row.size()));
+  for (const auto &v : row) PutValue(&w, v);
   const uint32_t used = UsedBytes(*p);
-  const size_t need = RowBytes(row);
-  if (used + need > kPageSize) return false;
-  uint8_t *dst = p->bytes + used;
-  PutRaw<uint64_t>(dst, slot);
-  PutRaw<uint32_t>(dst + 8, static_cast<uint32_t>(row.size()));
-  dst += 12;
-  for (const auto &v : row) dst += PutValue(dst, v);
+  if (used + scratch.size() > kPageSize) return false;
+  std::memcpy(p->bytes + used, scratch.data(), scratch.size());
   PutRaw<uint32_t>(p->bytes + 12, NumRows(*p) + 1);
-  PutRaw<uint32_t>(p->bytes + 16, static_cast<uint32_t>(used + need));
+  PutRaw<uint32_t>(p->bytes + 16, static_cast<uint32_t>(used + scratch.size()));
   return true;
 }
 
 Status DecodeRows(const Page &p, PageId page_id, std::vector<HeapRow> *out) {
-  const uint32_t used = UsedBytes(p);
+  auto region = RowRegion(p, page_id);
+  if (!region.ok()) return region.status();
+  ByteReader &r = region.value();
   const uint32_t nrows = NumRows(p);
-  if (used < kPageHeaderSize || used > kPageSize) {
-    return Status::IoError("heap page " + std::to_string(page_id) +
-                              ": bad used-bytes header");
-  }
-  const uint8_t *src = p.bytes + kPageHeaderSize;
-  const uint8_t *end = p.bytes + used;
   out->reserve(out->size() + nrows);
   for (uint32_t i = 0; i < nrows; i++) {
-    HeapRow r;
-    if (!GetRowRecord(&src, end, &r.slot, &r.row)) {
+    HeapRow row;
+    if (!GetRowRecord(&r, &row.slot, &row.row)) {
       return Status::IoError("heap page " + std::to_string(page_id) +
                                 ": truncated row record " + std::to_string(i));
     }
-    r.loc = RowLocation{page_id, i};
-    out->push_back(std::move(r));
+    row.loc = RowLocation{page_id, i};
+    out->push_back(std::move(row));
   }
   return Status::Ok();
 }
 
 Status DecodeRowAt(const Page &p, uint32_t index, Tuple *out) {
-  const uint32_t used = UsedBytes(p);
-  const uint32_t nrows = NumRows(p);
-  if (index >= nrows) {
+  if (index >= NumRows(p)) {
     return Status::IoError("heap page " + std::to_string(Id(p)) +
                               ": row index " + std::to_string(index) +
                               " out of range");
   }
-  if (used < kPageHeaderSize || used > kPageSize) {
-    return Status::IoError("heap page " + std::to_string(Id(p)) +
-                              ": bad used-bytes header");
-  }
-  const uint8_t *src = p.bytes + kPageHeaderSize;
-  const uint8_t *end = p.bytes + used;
+  auto region = RowRegion(p, Id(p));
+  if (!region.ok()) return region.status();
+  ByteReader &r = region.value();
   SlotId slot = 0;
   Tuple row;
   for (uint32_t i = 0; i <= index; i++) {
-    if (!GetRowRecord(&src, end, &slot, &row)) {
+    if (!GetRowRecord(&r, &slot, &row)) {
       return Status::IoError("heap page " + std::to_string(Id(p)) +
                                 ": truncated row record " + std::to_string(i));
     }

@@ -14,8 +14,8 @@
 ///   [12..16)  row count
 ///   [16..20)  used bytes (next append offset)
 ///   [20..)    rows: [slot u64][num_values u32][values...]
-/// Values use the WAL's tag+payload encoding (1-byte TypeId, then the
-/// fixed-width payload or u32-length-prefixed varchar bytes).
+/// Values use the common/serde Value encoding, as WAL records and SQL
+/// result rows do.
 
 #include <cstdint>
 #include <vector>
@@ -61,8 +61,9 @@ size_t RowBytes(const Tuple &row);
 bool AppendRow(Page *p, SlotId slot, const Tuple &row);
 
 /// Decodes every row record in the page. `page_id` fills each HeapRow's
-/// location. Errors on structural corruption (a record overrunning the
-/// used region) — checksum validation is the DiskManager's job.
+/// location. IoError on structural corruption (a record overrunning the
+/// used region, a bad value tag) — checksum validation is the DiskManager's
+/// job.
 Status DecodeRows(const Page &p, PageId page_id, std::vector<HeapRow> *out);
 
 /// Decodes just the row at `index`; errors when out of range or corrupt.

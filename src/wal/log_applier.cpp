@@ -1,25 +1,15 @@
 #include "wal/log_applier.h"
 
-#include <cstring>
-
+#include "common/serde.h"
 #include "index/bplus_tree.h"
 
 namespace mb2 {
 
 namespace {
 
-/// Same structural limits the file-based replay enforced: anything larger is
+/// Same structural limit the file-based replay enforced: a larger count is
 /// corruption by construction, not a record we haven't finished receiving.
 constexpr uint32_t kMaxValues = 1u << 16;
-constexpr uint32_t kMaxVarcharLen = 1u << 24;
-
-template <typename T>
-bool ReadRaw(const uint8_t *data, size_t size, size_t *pos, T *out) {
-  if (*pos + sizeof(T) > size) return false;
-  std::memcpy(out, data + *pos, sizeof(T));
-  *pos += sizeof(T);
-  return true;
-}
 
 }  // namespace
 
@@ -29,57 +19,28 @@ LogApplier::LogApplier(Catalog *catalog, TransactionManager *txn_manager)
 LogApplier::ParseOutcome LogApplier::ParseRecord(const uint8_t *data,
                                                  size_t size, size_t *consumed,
                                                  ParsedRecord *out) {
-  size_t pos = 0;
-  uint8_t op_tag;
-  if (!ReadRaw(data, size, &pos, &op_tag)) return ParseOutcome::kNeedMore;
-  if (op_tag > static_cast<uint8_t>(LogOpType::kCommit)) {
+  ByteReader r(data, size);
+  const uint8_t op_tag = r.Get<uint8_t>();
+  if (r.ok() && op_tag > static_cast<uint8_t>(LogOpType::kCommit)) {
     return ParseOutcome::kCorrupt;
   }
   out->op = static_cast<LogOpType>(op_tag);
-  if (!ReadRaw(data, size, &pos, &out->table_id) ||
-      !ReadRaw(data, size, &pos, &out->slot)) {
-    return ParseOutcome::kNeedMore;
-  }
-  uint64_t txn_id;  // logged for diagnostics; replay does not use it
-  if (!ReadRaw(data, size, &pos, &txn_id) ||
-      !ReadRaw(data, size, &pos, &out->nvalues)) {
-    return ParseOutcome::kNeedMore;
-  }
-  if (out->nvalues > kMaxValues) return ParseOutcome::kCorrupt;
+  out->table_id = r.Get<uint32_t>();
+  out->slot = r.Get<uint64_t>();
+  r.Get<uint64_t>();  // txn id: logged for diagnostics; replay does not use it
+  const uint32_t nvalues = r.Get<uint32_t>();
+  if (!r.ok()) return ParseOutcome::kNeedMore;
+  if (nvalues > kMaxValues) return ParseOutcome::kCorrupt;
 
   out->row.clear();
-  out->row.reserve(out->nvalues);
-  for (uint32_t i = 0; i < out->nvalues; i++) {
-    uint8_t type_tag;
-    if (!ReadRaw(data, size, &pos, &type_tag)) return ParseOutcome::kNeedMore;
-    switch (static_cast<TypeId>(type_tag)) {
-      case TypeId::kInteger: {
-        int64_t v;
-        if (!ReadRaw(data, size, &pos, &v)) return ParseOutcome::kNeedMore;
-        out->row.push_back(Value::Integer(v));
-        break;
-      }
-      case TypeId::kDouble: {
-        double v;
-        if (!ReadRaw(data, size, &pos, &v)) return ParseOutcome::kNeedMore;
-        out->row.push_back(Value::Double(v));
-        break;
-      }
-      case TypeId::kVarchar: {
-        uint32_t len;
-        if (!ReadRaw(data, size, &pos, &len)) return ParseOutcome::kNeedMore;
-        if (len > kMaxVarcharLen) return ParseOutcome::kCorrupt;
-        if (pos + len > size) return ParseOutcome::kNeedMore;
-        out->row.push_back(Value::Varchar(
-            std::string(reinterpret_cast<const char *>(data + pos), len)));
-        pos += len;
-        break;
-      }
-      default:
-        return ParseOutcome::kCorrupt;
+  out->row.reserve(nvalues);
+  for (uint32_t i = 0; i < nvalues; i++) {
+    out->row.emplace_back();
+    if (!GetValue(&r, &out->row.back())) {
+      return r.corrupt() ? ParseOutcome::kCorrupt : ParseOutcome::kNeedMore;
     }
   }
-  *consumed = pos;
+  *consumed = size - static_cast<size_t>(r.RemainingBytes());
   return ParseOutcome::kRecord;
 }
 

@@ -76,7 +76,6 @@ class LogApplier {
     LogOpType op;
     uint32_t table_id = 0;
     uint64_t slot = 0;
-    uint32_t nvalues = 0;
     Tuple row;
   };
 

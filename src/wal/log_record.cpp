@@ -1,64 +1,30 @@
 #include "wal/log_record.h"
 
-#include <cstring>
+#include "common/serde.h"
 
 namespace mb2 {
 
 namespace {
-
-template <typename T>
-void PutRaw(std::vector<uint8_t> *out, T v) {
-  uint8_t buf[sizeof(T)];
-  std::memcpy(buf, &v, sizeof(T));
-  out->insert(out->end(), buf, buf + sizeof(T));
-}
-
-void PutValue(std::vector<uint8_t> *out, const Value &v) {
-  PutRaw<uint8_t>(out, static_cast<uint8_t>(v.type()));
-  switch (v.type()) {
-    case TypeId::kInteger:
-      PutRaw<int64_t>(out, v.AsInt());
-      break;
-    case TypeId::kDouble:
-      PutRaw<double>(out, v.AsDouble());
-      break;
-    case TypeId::kVarchar: {
-      const std::string &s = v.AsVarchar();
-      PutRaw<uint32_t>(out, static_cast<uint32_t>(s.size()));
-      out->insert(out->end(), s.begin(), s.end());
-      break;
-    }
-  }
-}
-
-size_t ValueSize(const Value &v) {
-  switch (v.type()) {
-    case TypeId::kInteger:
-    case TypeId::kDouble:
-      return 1 + 8;
-    case TypeId::kVarchar:
-      return 1 + 4 + v.AsVarchar().size();
-  }
-  return 9;
-}
-
+/// [u8 op][u32 table][u64 slot][u64 txn][u32 nvalues]
+constexpr size_t kRecordHeaderBytes = 1 + 4 + 8 + 8 + 4;
 }  // namespace
 
 size_t RedoRecordSize(const RedoRecord &record) {
-  size_t size = 1 + 4 + 8 + 8 + 4;
-  for (const auto &v : record.after) size += ValueSize(v);
+  size_t size = kRecordHeaderBytes;
+  for (const auto &v : record.after) size += EncodedSize(v);
   return size;
 }
 
 size_t SerializeRedoRecord(const RedoRecord &record, uint64_t txn_id,
                            std::vector<uint8_t> *out) {
   const size_t before = out->size();
-  PutRaw<uint8_t>(out, static_cast<uint8_t>(record.op));
-  PutRaw<uint32_t>(out, record.table_id);
-  PutRaw<uint64_t>(out, record.slot);
-  PutRaw<uint64_t>(out, txn_id);
-  PutRaw<uint32_t>(out, static_cast<uint32_t>(record.after.size()));
-  for (const auto &v : record.after) PutValue(out, v);
+  ByteWriter w(out);
+  w.Put<uint8_t>(static_cast<uint8_t>(record.op));
+  w.Put<uint32_t>(record.table_id);
+  w.Put<uint64_t>(record.slot);
+  w.Put<uint64_t>(txn_id);
+  w.Put<uint32_t>(static_cast<uint32_t>(record.after.size()));
+  for (const auto &v : record.after) PutValue(&w, v);
   return out->size() - before;
 }
 

@@ -1,10 +1,9 @@
 #pragma once
 
 /// \file log_record.h
-/// Binary serialization of redo records into log buffers. Record wire
-/// format: [u8 op][u32 table][u64 slot][u64 txn][u32 nvalues]{values...};
-/// integer/double values are 1-byte type tag + 8 bytes, varchars are tag +
-/// u32 length + bytes.
+/// Binary serialization of redo records into log buffers. Record format:
+/// [u8 op][u32 table][u64 slot][u64 txn][u32 nvalues]{values...}, each value
+/// in the common/serde Value encoding.
 
 #include <cstdint>
 #include <vector>
@@ -33,7 +32,7 @@ class LogBuffer {
   std::vector<uint8_t> data_;
 };
 
-/// Serializes one redo record; returns the encoded size in bytes.
+/// Appends one encoded redo record to *out; returns its size in bytes.
 size_t SerializeRedoRecord(const RedoRecord &record, uint64_t txn_id,
                            std::vector<uint8_t> *out);
 

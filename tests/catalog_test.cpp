@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "database.h"
+#include "temp_dir.h"
 
 namespace mb2 {
 namespace {
@@ -104,8 +105,9 @@ TEST(DatabaseTest, WalDisabledByDefault) {
 }
 
 TEST(DatabaseTest, WalEnabledPersistsCommits) {
+  TempDir tmp;
   Database::Options options;
-  options.wal_path = "/tmp/mb2_db_test.log";
+  options.wal_path = tmp.File("db.log");
   Database db(options);
   ASSERT_TRUE(db.log_manager().enabled());
   Table *t = db.catalog().CreateTable("t", Schema({{"x", TypeId::kInteger, 0}}));
@@ -117,8 +119,9 @@ TEST(DatabaseTest, WalEnabledPersistsCommits) {
 }
 
 TEST(DatabaseTest, BackgroundServicesStartAndStopCleanly) {
+  TempDir tmp;
   Database::Options options;
-  options.wal_path = "/tmp/mb2_db_bg_test.log";
+  options.wal_path = tmp.File("db.log");
   options.start_flusher = true;
   options.start_gc = true;
   {

@@ -13,6 +13,7 @@
 #include "common/stats.h"
 #include "common/thread_pool.h"
 #include "common/value.h"
+#include "temp_dir.h"
 
 namespace mb2 {
 namespace {
@@ -163,7 +164,8 @@ TEST(RngTest, ShufflePreservesElements) {
 // --- CSV ---------------------------------------------------------------------
 
 TEST(CsvTest, RoundTrip) {
-  const std::string path = "/tmp/mb2_csv_test.csv";
+  TempDir tmp;
+  const std::string path = tmp.File("test.csv");
   {
     auto writer = CsvWriter::Open(path, {"a", "b", "c"});
     ASSERT_TRUE(writer.ok());
@@ -180,7 +182,8 @@ TEST(CsvTest, RoundTrip) {
 }
 
 TEST(CsvTest, MissingFileIsIoError) {
-  auto data = ReadCsv("/tmp/definitely_missing_mb2.csv");
+  TempDir tmp;
+  auto data = ReadCsv(tmp.File("missing.csv"));
   EXPECT_FALSE(data.ok());
   EXPECT_EQ(data.status().code(), ErrorCode::kIoError);
 }

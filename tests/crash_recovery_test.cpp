@@ -17,6 +17,7 @@
 #include "common/fault_injector.h"
 #include "database.h"
 #include "wal/log_recovery.h"
+#include "temp_dir.h"
 
 namespace mb2 {
 namespace {
@@ -36,13 +37,10 @@ class CrashRecoveryTest : public ::testing::Test {
   void SetUp() override { FaultInjector::Instance().Reset(); }
   void TearDown() override { FaultInjector::Instance().Reset(); }
 
+  TempDir tmp_;
   /// Per-test log path: ctest runs these tests as parallel processes, which
   /// must not clobber each other's "devices".
-  std::string LogPath() const {
-    return std::string("/tmp/mb2_crash_") +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-           ".log";
-  }
+  std::string LogPath() const { return tmp_.File("crash.log"); }
 
   Schema TestSchema() {
     return Schema({{"id", TypeId::kInteger, 0},

@@ -16,6 +16,7 @@
 #include "storage/page.h"
 #include "storage/table_heap.h"
 #include "wal/log_recovery.h"
+#include "temp_dir.h"
 
 namespace mb2 {
 namespace {
@@ -23,18 +24,12 @@ namespace {
 class DiskHeapTest : public ::testing::Test {
  protected:
   void SetUp() override { FaultInjector::Instance().Reset(); }
-  void TearDown() override {
-    FaultInjector::Instance().Reset();
-    std::remove(HeapPath().c_str());
-    std::remove(WalPath().c_str());
-  }
+  void TearDown() override { FaultInjector::Instance().Reset(); }
 
   /// Per-test file paths: ctest runs test processes in parallel.
-  std::string TestName() const {
-    return ::testing::UnitTest::GetInstance()->current_test_info()->name();
-  }
-  std::string HeapPath() const { return "/tmp/mb2_dh_" + TestName() + ".heap"; }
-  std::string WalPath() const { return "/tmp/mb2_dh_" + TestName() + ".log"; }
+  TempDir tmp_;
+  std::string HeapPath() const { return tmp_.File("table.heap"); }
+  std::string WalPath() const { return tmp_.File("table.log"); }
 
   Tuple Row(int64_t id) {
     return {Value::Integer(id), Value::Integer(id * 3),

@@ -10,6 +10,7 @@
 #include "runner/data_repository.h"
 #include "runner/ou_runner.h"
 #include "workload/tpch.h"
+#include "temp_dir.h"
 
 namespace mb2 {
 namespace {
@@ -77,7 +78,8 @@ TEST(IntegrationTest, DataRepositoryRoundTrip) {
   std::vector<OuRecord> records = runner.RunScanAndFilter();
   ASSERT_GT(records.size(), 0u);
 
-  DataRepository repo("/tmp/mb2_test_repo");
+  TempDir tmp;
+  DataRepository repo(tmp.path());
   ASSERT_TRUE(repo.Save(records).ok());
   EXPECT_GT(repo.TotalBytes(), 0u);
   auto loaded = repo.LoadAll();

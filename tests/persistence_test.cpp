@@ -13,6 +13,7 @@
 #include "modeling/model_bot.h"
 #include "ml/model_selection.h"
 #include "runner/ou_runner.h"
+#include "temp_dir.h"
 
 namespace mb2 {
 namespace {
@@ -35,18 +36,10 @@ TEST_P(RegressorRoundTrip, PredictionsSurviveSaveLoad) {
   auto model = CreateRegressor(GetParam());
   model->Fit(x, y);
 
-  // Path is per-algorithm: ctest runs the instantiations as parallel
-  // processes, which must not clobber each other's files.
-  const std::string path = std::string("/tmp/mb2_model_roundtrip_") +
-                           MlAlgorithmName(GetParam()) + ".bin";
-  {
-    auto writer = BinaryWriter::Open(path);
-    ASSERT_TRUE(writer.ok());
-    SaveRegressor(*model, &writer.value());
-  }
-  auto reader = BinaryReader::Open(path);
-  ASSERT_TRUE(reader.ok());
-  std::unique_ptr<Regressor> loaded = LoadRegressor(&reader.value());
+  ByteWriter writer;
+  SaveRegressor(*model, &writer);
+  ByteReader reader(writer.bytes().data(), writer.size());
+  std::unique_ptr<Regressor> loaded = LoadRegressor(&reader);
   ASSERT_NE(loaded, nullptr) << MlAlgorithmName(GetParam());
   EXPECT_EQ(loaded->algorithm(), GetParam());
 
@@ -66,6 +59,22 @@ TEST_P(RegressorRoundTrip, PredictionsSurviveSaveLoad) {
 INSTANTIATE_TEST_SUITE_P(Algos, RegressorRoundTrip,
                          ::testing::ValuesIn(AllAlgorithms()));
 
+TEST(PersistenceTest, SerializedBytesIsTheExactSavedSize) {
+  Matrix x, y;
+  MakeData(200, &x, &y, 4);
+  for (MlAlgorithm algo : AllAlgorithms()) {
+    auto model = CreateRegressor(algo);
+    model->Fit(x, y);
+    ByteWriter writer;
+    SaveRegressor(*model, &writer);
+    EXPECT_EQ(model->SerializedBytes(), writer.size()) << MlAlgorithmName(algo);
+    // The loader consumes exactly what the saver wrote.
+    ByteReader reader(writer.bytes().data(), writer.size());
+    ASSERT_NE(LoadRegressor(&reader), nullptr) << MlAlgorithmName(algo);
+    EXPECT_EQ(reader.RemainingBytes(), 0) << MlAlgorithmName(algo);
+  }
+}
+
 TEST(PersistenceTest, OuModelRoundTripWithNormalization) {
   Matrix x, y;
   Rng rng(5);
@@ -79,13 +88,10 @@ TEST(PersistenceTest, OuModelRoundTripWithNormalization) {
   OuModel model(OuType::kSeqScan);
   model.Train(x, y, {MlAlgorithm::kRandomForest});
 
-  const std::string path = "/tmp/mb2_oumodel.bin";
-  {
-    auto writer = BinaryWriter::Open(path);
-    model.Save(&writer.value());
-  }
-  auto reader = BinaryReader::Open(path);
-  std::unique_ptr<OuModel> loaded = OuModel::Load(&reader.value());
+  ByteWriter writer;
+  model.Save(&writer);
+  ByteReader reader(writer.bytes().data(), writer.size());
+  std::unique_ptr<OuModel> loaded = OuModel::Load(&reader);
   ASSERT_NE(loaded, nullptr);
   EXPECT_EQ(loaded->type(), OuType::kSeqScan);
   EXPECT_EQ(loaded->best_algorithm(), MlAlgorithm::kRandomForest);
@@ -113,12 +119,11 @@ TEST(PersistenceTest, ModelBotSaveLoadPreservesQueryPredictions) {
 
   ModelBot trained(&db.catalog(), &db.estimator(), &db.settings());
   trained.TrainOuModels(records, {MlAlgorithm::kLinear, MlAlgorithm::kRandomForest});
-  const std::string dir = "/tmp/mb2_bot_roundtrip";
-  std::filesystem::create_directories(dir);
-  ASSERT_TRUE(trained.SaveModels(dir).ok());
+  TempDir dir;
+  ASSERT_TRUE(trained.SaveModels(dir.path()).ok());
 
   ModelBot deployed(&db.catalog(), &db.estimator(), &db.settings());
-  ASSERT_TRUE(deployed.LoadModels(dir).ok());
+  ASSERT_TRUE(deployed.LoadModels(dir.path()).ok());
 
   auto scan = std::make_unique<SeqScanPlan>();
   scan->table = "ou_synth_0";
@@ -141,21 +146,17 @@ TEST(PersistenceTest, ModelBotSaveLoadPreservesQueryPredictions) {
 TEST(PersistenceTest, CorruptAndMissingFilesRejected) {
   Database db;
   ModelBot bot(&db.catalog(), &db.estimator(), &db.settings());
-  EXPECT_FALSE(bot.LoadModels("/tmp/definitely_missing_dir_mb2").ok());
+  TempDir tmp;
+  EXPECT_FALSE(bot.LoadModels(tmp.File("missing_dir")).ok());
+  EXPECT_FALSE(bot.SaveModels(tmp.File("missing_dir")).ok());  // dir absent
 
   // Wrong magic.
   {
-    auto writer = BinaryWriter::Open("/tmp/mb2_models.bin.bad/mb2_models.bin");
-    EXPECT_FALSE(writer.ok());  // directory absent
-  }
-  {
-    const std::string dir = "/tmp/mb2_bad_magic";
-    std::filesystem::create_directories(dir);
-    FILE *f = std::fopen((dir + "/mb2_models.bin").c_str(), "wb");
+    FILE *f = std::fopen(tmp.File("mb2_models.bin").c_str(), "wb");
     const uint32_t junk = 0xdeadbeef;
     std::fwrite(&junk, sizeof(junk), 1, f);
     std::fclose(f);
-    EXPECT_FALSE(bot.LoadModels(dir).ok());
+    EXPECT_FALSE(bot.LoadModels(tmp.path()).ok());
   }
 }
 
@@ -181,14 +182,7 @@ std::vector<OuRecord> SyntheticRecords(OuType type, size_t n, uint64_t seed) {
 /// fallback predictions, never silently-garbled models.
 class ModelFileCorruption : public ::testing::TestWithParam<MlAlgorithm> {
  protected:
-  /// Per-algorithm directory: the corruption tests run in parallel under
-  /// ctest and must not clobber each other's files.
-  std::string Dir() const {
-    const std::string dir =
-        std::string("/tmp/mb2_corrupt_") + MlAlgorithmName(GetParam());
-    std::filesystem::create_directories(dir);
-    return dir;
-  }
+  TempDir tmp_;
 };
 
 TEST_P(ModelFileCorruption, FlippedAndTruncatedFilesRejected) {
@@ -198,8 +192,8 @@ TEST_P(ModelFileCorruption, FlippedAndTruncatedFilesRejected) {
   ASSERT_NE(bot.GetOuModel(OuType::kSeqScan), nullptr)
       << MlAlgorithmName(GetParam());
 
-  const std::string dir = Dir();
-  const std::string path = dir + "/mb2_models.bin";
+  const std::string dir = tmp_.path();
+  const std::string path = tmp_.File("mb2_models.bin");
   ASSERT_TRUE(bot.SaveModels(dir).ok());
 
   // Sanity: the pristine file loads.
@@ -272,11 +266,10 @@ TEST(PersistenceTest, MissingOuModelServesDegradedFallback) {
   EXPECT_GE(pred.degraded_ous, 1u);
 
   // The fallback table (and the degraded behavior) survives save/load.
-  const std::string dir = "/tmp/mb2_degraded_fallback";
-  std::filesystem::create_directories(dir);
-  ASSERT_TRUE(bot.SaveModels(dir).ok());
+  TempDir dir;
+  ASSERT_TRUE(bot.SaveModels(dir.path()).ok());
   ModelBot deployed(&db.catalog(), &db.estimator(), &db.settings());
-  ASSERT_TRUE(deployed.LoadModels(dir).ok());
+  ASSERT_TRUE(deployed.LoadModels(dir.path()).ok());
   ASSERT_TRUE(deployed.fallback_labels().count(OuType::kSeqScan));
   const QueryPrediction redeployed = deployed.PredictQuery(*plan);
   EXPECT_TRUE(redeployed.degraded);
@@ -292,8 +285,8 @@ TEST(PersistenceTest, SaveIsCrashAtomic) {
   ModelBot bot(&db.catalog(), &db.estimator(), &db.settings());
   bot.TrainOuModels(SyntheticRecords(OuType::kSeqScan, 150, 7),
                     {MlAlgorithm::kLinear});
-  const std::string dir = "/tmp/mb2_atomic_save";
-  std::filesystem::create_directories(dir);
+  TempDir tmp;
+  const std::string dir = tmp.path();
   ASSERT_TRUE(bot.SaveModels(dir).ok());
 
   auto &fi = FaultInjector::Instance();
@@ -323,15 +316,11 @@ TEST(PersistenceTest, InterferenceModelRoundTrip) {
   }
   InterferenceModel model;
   model.Train(x, y, {MlAlgorithm::kLinear, MlAlgorithm::kNeuralNetwork});
-  {
-    auto writer = BinaryWriter::Open("/tmp/mb2_if.bin");
-    model.Save(&writer.value());
-  }
+  ByteWriter writer;
+  model.Save(&writer);
   InterferenceModel loaded;
-  {
-    auto reader = BinaryReader::Open("/tmp/mb2_if.bin");
-    loaded.LoadFrom(&reader.value());
-  }
+  ByteReader reader(writer.bytes().data(), writer.size());
+  loaded.LoadFrom(&reader);
   ASSERT_TRUE(loaded.trained());
   Labels target{};
   target[kLabelElapsedUs] = 100.0;

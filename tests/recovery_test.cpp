@@ -5,13 +5,15 @@
 
 #include "database.h"
 #include "wal/log_recovery.h"
+#include "temp_dir.h"
 
 namespace mb2 {
 namespace {
 
 class RecoveryTest : public ::testing::Test {
  protected:
-  static constexpr const char *kLog = "/tmp/mb2_recovery_test.log";
+  TempDir tmp_;
+  const std::string log_path_ = tmp_.File("recovery.log");
 
   Schema TestSchema() {
     return Schema({{"id", TypeId::kInteger, 0},
@@ -35,7 +37,7 @@ TEST_F(RecoveryTest, ReplayReconstructsFullHistory) {
   // Phase 1: a database with WAL, exercising insert/update/delete.
   {
     Database::Options options;
-    options.wal_path = kLog;
+    options.wal_path = log_path_;
     Database db(options);
     db.catalog().CreateTable("t", TestSchema());
     Table *t = db.catalog().GetTable("t");
@@ -64,7 +66,7 @@ TEST_F(RecoveryTest, ReplayReconstructsFullHistory) {
   // Phase 2: fresh database, same schema; replay the log.
   Database db;
   db.catalog().CreateTable("t", TestSchema());
-  auto stats = ReplayLog(kLog, &db.catalog(), &db.txn_manager());
+  auto stats = ReplayLog(log_path_, &db.catalog(), &db.txn_manager());
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats.value().inserts, 50u);
   EXPECT_EQ(stats.value().updates, 10u);
@@ -81,7 +83,7 @@ TEST_F(RecoveryTest, ReplayReconstructsFullHistory) {
 TEST_F(RecoveryTest, ReplayMaintainsIndexes) {
   {
     Database::Options options;
-    options.wal_path = kLog;
+    options.wal_path = log_path_;
     Database db(options);
     db.catalog().CreateTable("t", TestSchema());
     Table *t = db.catalog().GetTable("t");
@@ -96,7 +98,7 @@ TEST_F(RecoveryTest, ReplayMaintainsIndexes) {
   Database db;
   db.catalog().CreateTable("t", TestSchema());
   db.catalog().CreateIndex({"pk_t", "t", {0}, true});
-  ASSERT_TRUE(ReplayLog(kLog, &db.catalog(), &db.txn_manager()).ok());
+  ASSERT_TRUE(ReplayLog(log_path_, &db.catalog(), &db.txn_manager()).ok());
   // Point lookup through the index finds the replayed row.
   auto scan = std::make_unique<IndexScanPlan>();
   scan->index = "pk_t";
@@ -111,7 +113,7 @@ TEST_F(RecoveryTest, ReplayMaintainsIndexes) {
 TEST_F(RecoveryTest, UnknownTableRecordsAreSkipped) {
   {
     Database::Options options;
-    options.wal_path = kLog;
+    options.wal_path = log_path_;
     Database db(options);
     db.catalog().CreateTable("t", TestSchema());
     Table *t = db.catalog().GetTable("t");
@@ -121,7 +123,7 @@ TEST_F(RecoveryTest, UnknownTableRecordsAreSkipped) {
     db.log_manager().FlushNow();
   }
   Database db;  // no tables created: everything skipped, no crash
-  auto stats = ReplayLog(kLog, &db.catalog(), &db.txn_manager());
+  auto stats = ReplayLog(log_path_, &db.catalog(), &db.txn_manager());
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats.value().records_applied, 0u);
   EXPECT_EQ(stats.value().skipped, 1u);
@@ -129,20 +131,20 @@ TEST_F(RecoveryTest, UnknownTableRecordsAreSkipped) {
 
 TEST_F(RecoveryTest, CorruptLogRejected) {
   {
-    FILE *f = std::fopen(kLog, "wb");
+    FILE *f = std::fopen(log_path_.c_str(), "wb");
     const char junk[] = "\x01this is not a log";
     std::fwrite(junk, 1, sizeof(junk), f);
     std::fclose(f);
   }
   Database db;
   db.catalog().CreateTable("t", TestSchema());
-  auto stats = ReplayLog(kLog, &db.catalog(), &db.txn_manager());
+  auto stats = ReplayLog(log_path_, &db.catalog(), &db.txn_manager());
   EXPECT_FALSE(stats.ok());
 }
 
 TEST_F(RecoveryTest, MissingLogIsIoError) {
   Database db;
-  auto stats = ReplayLog("/tmp/mb2_no_such.log", &db.catalog(), &db.txn_manager());
+  auto stats = ReplayLog(tmp_.File("no_such.log"), &db.catalog(), &db.txn_manager());
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), ErrorCode::kIoError);
 }

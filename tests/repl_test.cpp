@@ -16,6 +16,7 @@
 #include "repl/replication.h"
 #include "wal/log_applier.h"
 #include "wal/log_recovery.h"
+#include "temp_dir.h"
 
 namespace mb2 {
 namespace {
@@ -50,7 +51,7 @@ bool SameRows(const std::vector<Tuple> &a, const std::vector<Tuple> &b) {
 
 /// Writes a 60-record history (inserts, updates, deletes) through a
 /// WAL-enabled database and returns the log bytes.
-std::vector<uint8_t> MakeLog(const char *path) {
+std::vector<uint8_t> MakeLog(const std::string &path) {
   {
     Database::Options options;
     options.wal_path = path;
@@ -77,7 +78,7 @@ std::vector<uint8_t> MakeLog(const char *path) {
     db.txn_manager().Commit(txn2.get());
     db.log_manager().FlushNow();
   }
-  FILE *f = std::fopen(path, "rb");
+  FILE *f = std::fopen(path.c_str(), "rb");
   EXPECT_NE(f, nullptr);
   std::fseek(f, 0, SEEK_END);
   std::vector<uint8_t> bytes(static_cast<size_t>(std::ftell(f)));
@@ -89,16 +90,17 @@ std::vector<uint8_t> MakeLog(const char *path) {
 
 class LogApplierTest : public ::testing::Test {
  protected:
-  static constexpr const char *kLog = "/tmp/mb2_repl_applier_test.log";
+  TempDir tmp_;
+  const std::string log_path_ = tmp_.File("applier.log");
 };
 
 TEST_F(LogApplierTest, SameLogTwiceIsIdempotent) {
-  const std::vector<uint8_t> log = MakeLog(kLog);
+  const std::vector<uint8_t> log = MakeLog(log_path_);
 
   // Reference: one straight replay.
   Database ref;
   ref.catalog().CreateTable("t", TestSchema());
-  ASSERT_TRUE(ReplayLog(kLog, &ref.catalog(), &ref.txn_manager()).ok());
+  ASSERT_TRUE(ReplayLog(log_path_, &ref.catalog(), &ref.txn_manager()).ok());
 
   Database db;
   db.catalog().CreateTable("t", TestSchema());
@@ -122,11 +124,11 @@ TEST_F(LogApplierTest, SameLogTwiceIsIdempotent) {
 }
 
 TEST_F(LogApplierTest, OverlappingBatchesAfterRestartMatchStraightReplay) {
-  const std::vector<uint8_t> log = MakeLog(kLog);
+  const std::vector<uint8_t> log = MakeLog(log_path_);
 
   Database ref;
   ref.catalog().CreateTable("t", TestSchema());
-  ASSERT_TRUE(ReplayLog(kLog, &ref.catalog(), &ref.txn_manager()).ok());
+  ASSERT_TRUE(ReplayLog(log_path_, &ref.catalog(), &ref.txn_manager()).ok());
 
   // A follower restart: the fresh applier re-reads its whole local copy
   // (the prefix), then fetches from a conservative offset so the next
@@ -146,7 +148,7 @@ TEST_F(LogApplierTest, OverlappingBatchesAfterRestartMatchStraightReplay) {
 }
 
 TEST_F(LogApplierTest, GapIsRejectedWithoutConsumingAnything) {
-  const std::vector<uint8_t> log = MakeLog(kLog);
+  const std::vector<uint8_t> log = MakeLog(log_path_);
   Database db;
   db.catalog().CreateTable("t", TestSchema());
   LogApplier applier(&db.catalog(), &db.txn_manager());
@@ -165,10 +167,10 @@ TEST_F(LogApplierTest, GapIsRejectedWithoutConsumingAnything) {
 }
 
 TEST_F(LogApplierTest, SingleByteBatchesApplyEverything) {
-  const std::vector<uint8_t> log = MakeLog(kLog);
+  const std::vector<uint8_t> log = MakeLog(log_path_);
   Database ref;
   ref.catalog().CreateTable("t", TestSchema());
-  ASSERT_TRUE(ReplayLog(kLog, &ref.catalog(), &ref.txn_manager()).ok());
+  ASSERT_TRUE(ReplayLog(log_path_, &ref.catalog(), &ref.txn_manager()).ok());
 
   // Worst-case batching: every record is split across many batches.
   Database db;
@@ -182,7 +184,7 @@ TEST_F(LogApplierTest, SingleByteBatchesApplyEverything) {
 }
 
 TEST_F(LogApplierTest, TornTailStaysBufferedUntilCompleted) {
-  const std::vector<uint8_t> log = MakeLog(kLog);
+  const std::vector<uint8_t> log = MakeLog(log_path_);
   Database db;
   db.catalog().CreateTable("t", TestSchema());
   LogApplier applier(&db.catalog(), &db.txn_manager());
@@ -198,15 +200,14 @@ TEST_F(LogApplierTest, TornTailStaysBufferedUntilCompleted) {
 /// replication from its live WAL.
 class ReplicationPairTest : public ::testing::Test {
  protected:
-  static constexpr const char *kPrimaryWal = "/tmp/mb2_repl_primary.wal";
-  static constexpr const char *kCopy = "/tmp/mb2_repl_copy.wal";
+  // First member, so the directory outlives the nodes writing into it.
+  TempDir tmp_;
+  const std::string primary_wal_ = tmp_.File("primary.wal");
+  const std::string copy_wal_ = tmp_.File("copy.wal");
 
   void SetUp() override {
-    std::remove(kPrimaryWal);
-    std::remove(kCopy);
-
     Database::Options popts;
-    popts.wal_path = kPrimaryWal;
+    popts.wal_path = primary_wal_;
     primary_ = std::make_unique<Database>(popts);
     primary_->settings().SetInt("wal_sync_commit", 1);
     primary_->Execute("CREATE TABLE t (id INTEGER, payload VARCHAR(8), bal DOUBLE)");
@@ -224,7 +225,7 @@ class ReplicationPairTest : public ::testing::Test {
     repl::ReplicaNodeOptions ropts;
     ropts.replica_id = "r1";
     ropts.primary_port = server_->port();
-    ropts.wal_copy_path = kCopy;
+    ropts.wal_copy_path = copy_wal_;
     node_ = std::make_unique<repl::ReplicaNode>(follower_.get(), ropts);
     ASSERT_TRUE(node_->Bootstrap().ok());
   }
@@ -305,7 +306,7 @@ TEST_F(ReplicationPairTest, FollowerRestartResumesFromLocalCopy) {
   repl::ReplicaNodeOptions ropts;
   ropts.replica_id = "r1";
   ropts.primary_port = server_->port();
-  ropts.wal_copy_path = kCopy;
+  ropts.wal_copy_path = copy_wal_;
   node_ = std::make_unique<repl::ReplicaNode>(follower_.get(), ropts);
   ASSERT_TRUE(node_->Bootstrap().ok());
   EXPECT_EQ(node_->applied_offset(), applied_before);  // copy replayed
@@ -325,7 +326,7 @@ TEST_F(ReplicationPairTest, PromotionReplaysToTipAndAdmitsWrites) {
   server_->Stop();
   const auto primary_rows = Dump(primary_.get(), "t");
 
-  ASSERT_TRUE(node_->Promote(kPrimaryWal, "/tmp/mb2_repl_promoted.wal").ok());
+  ASSERT_TRUE(node_->Promote(primary_wal_, tmp_.File("promoted.wal")).ok());
   EXPECT_TRUE(node_->promoted());
   EXPECT_GE(node_->epoch(), 2u);
   EXPECT_TRUE(SameRows(primary_rows, Dump(follower_.get(), "t")));
@@ -374,7 +375,7 @@ TEST_F(ReplicationPairTest, FailoverClientFollowsThePrimary) {
   // Primary dies; follower is promoted out-of-band; the client's next
   // write lands on the new primary without caller-side plumbing.
   server_->Stop();
-  ASSERT_TRUE(node_->Promote(kPrimaryWal, "/tmp/mb2_repl_promoted2.wal").ok());
+  ASSERT_TRUE(node_->Promote(primary_wal_, tmp_.File("promoted.wal")).ok());
   auto routed = client.ExecuteSql("INSERT INTO t VALUES (2, 'y', 2.0)");
   ASSERT_TRUE(routed.ok()) << routed.status().ToString();
   EXPECT_EQ(client.current(), 1u);
@@ -407,7 +408,7 @@ TEST_F(ReplicationPairTest, DmlIsNotRetriedAfterTransportErrorByDefault) {
   ASSERT_TRUE(client.Ping().ok());
 
   server_->Stop();
-  ASSERT_TRUE(node_->Promote(kPrimaryWal, "/tmp/mb2_repl_promoted4.wal").ok());
+  ASSERT_TRUE(node_->Promote(primary_wal_, tmp_.File("promoted.wal")).ok());
 
   // A write that dies in transport might have executed before the primary
   // fell over; without the opt-in it must surface the error, not silently
@@ -437,7 +438,7 @@ TEST_F(ReplicationPairTest, PromotedPrimaryServesTheContinuousStream) {
   }
   CatchUp(node_.get());
   server_->Stop();
-  ASSERT_TRUE(node_->Promote(kPrimaryWal, "/tmp/mb2_repl_promoted5.wal").ok());
+  ASSERT_TRUE(node_->Promote(primary_wal_, tmp_.File("promoted.wal")).ok());
   const uint64_t base = node_->applied_offset();
   ASSERT_GT(base, 0u);
 
@@ -466,7 +467,7 @@ TEST_F(ReplicationPairTest, PromotedPrimaryServesTheContinuousStream) {
   req.max_bytes = 64;
   ASSERT_TRUE(node_->Fetch(req, &batch).ok());
   ASSERT_FALSE(batch.data.empty());
-  FILE *old_wal = std::fopen(kPrimaryWal, "rb");
+  FILE *old_wal = std::fopen(primary_wal_.c_str(), "rb");
   ASSERT_NE(old_wal, nullptr);
   std::vector<uint8_t> expect(batch.data.size());
   ASSERT_EQ(std::fread(expect.data(), 1, expect.size(), old_wal),
@@ -494,13 +495,12 @@ TEST_F(ReplicationPairTest, PromotedPrimaryServesTheContinuousStream) {
   promoted_server.set_repl_service(node_.get());
   ASSERT_TRUE(promoted_server.Start().ok());
 
-  std::remove("/tmp/mb2_repl_copy2.wal");
   Database second;
   second.Execute("CREATE TABLE t (id INTEGER, payload VARCHAR(8), bal DOUBLE)");
   repl::ReplicaNodeOptions ropts;
   ropts.replica_id = "r2";
   ropts.primary_port = promoted_server.port();
-  ropts.wal_copy_path = "/tmp/mb2_repl_copy2.wal";
+  ropts.wal_copy_path = tmp_.File("copy2.wal");
   repl::ReplicaNode second_node(&second, ropts);
   ASSERT_TRUE(second_node.Bootstrap().ok());
   for (int i = 0; i < 1000; i++) {

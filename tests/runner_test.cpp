@@ -10,6 +10,7 @@
 #include "runner/concurrent_runner.h"
 #include "runner/ou_runner.h"
 #include "workload/tpch.h"
+#include "temp_dir.h"
 
 namespace mb2 {
 namespace {
@@ -104,8 +105,9 @@ TEST(OuRunnerTest, IndexBuildsSweepThreads) {
 }
 
 TEST(OuRunnerTest, WalGcTxnRunnersProduceTheirOus) {
+  TempDir tmp;
   Database::Options options;
-  options.wal_path = "/tmp/mb2_runner_test.log";
+  options.wal_path = tmp.File("runner.log");
   Database db(options);
   OuRunnerConfig cfg = OuRunnerConfig::Small();
   cfg.row_counts = {1024};

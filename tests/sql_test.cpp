@@ -134,6 +134,48 @@ TEST_F(SqlTest, OrderByAndLimit) {
   EXPECT_EQ(Run("SELECT id FROM items LIMIT 7").rows.size(), 7u);
 }
 
+TEST_F(SqlTest, OrderByResolvesAgainstTheRowItSorts) {
+  ASSERT_TRUE(ExecuteSql(&db_, "CREATE TABLE fact (id INTEGER, qty INTEGER, "
+                               "val DOUBLE, tag VARCHAR)").ok());
+  // qty, val and tag each order the rows differently from id.
+  for (int i = 0; i < 10; i++) {
+    const std::string stmt =
+        "INSERT INTO fact VALUES (" + std::to_string(i) + ", " +
+        std::to_string((7 * i) % 10) + ", " + std::to_string((3 * i) % 10) +
+        ".5, 't" + std::to_string(9 - i) + "')";
+    ASSERT_TRUE(ExecuteSql(&db_, stmt).ok());
+  }
+
+  // A name resolves to its select-list position, not the table column.
+  Batch by_id = Run("SELECT qty, id FROM fact ORDER BY id LIMIT 5");
+  ASSERT_EQ(by_id.rows.size(), 5u);
+  for (int64_t i = 0; i < 5; i++) EXPECT_EQ(by_id.rows[i][1].AsInt(), i);
+  Batch by_val = Run("SELECT tag, val FROM fact ORDER BY val");
+  ASSERT_EQ(by_val.rows.size(), 10u);
+  for (size_t i = 1; i < by_val.rows.size(); i++) {
+    EXPECT_LT(by_val.rows[i - 1][1].AsDouble(), by_val.rows[i][1].AsDouble());
+  }
+  // `*` sorts by the table column; an aggregate by the group-key position.
+  Batch star = Run("SELECT * FROM fact ORDER BY qty DESC");
+  ASSERT_EQ(star.rows.size(), 10u);
+  EXPECT_EQ(star.rows[0][1].AsInt(), 9);
+  Batch grouped = Run("SELECT COUNT(*), tag FROM fact GROUP BY tag ORDER BY tag");
+  ASSERT_EQ(grouped.rows.size(), 10u);
+  EXPECT_EQ(grouped.rows[0][0].AsVarchar(), "t0");
+
+  // Ordinals outside 1..width and names outside the row are errors that
+  // point at the offending token.
+  for (const char *stmt : {"SELECT qty, id FROM fact ORDER BY 0",
+                           "SELECT qty, id FROM fact ORDER BY 9",
+                           "SELECT qty FROM fact ORDER BY id"}) {
+    auto result = ExecuteSql(&db_, stmt);
+    ASSERT_FALSE(result.ok()) << stmt;
+    EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument) << stmt;
+    EXPECT_NE(result.status().ToString().find("offset"), std::string::npos)
+        << result.status().ToString();
+  }
+}
+
 TEST_F(SqlTest, GroupByAggregates) {
   Batch out = Run("SELECT grp, COUNT(*), SUM(price), MAX(id) FROM items "
                   "GROUP BY grp ORDER BY 1");

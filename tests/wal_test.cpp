@@ -11,6 +11,7 @@
 #include "metrics/metrics_collector.h"
 #include "wal/log_applier.h"
 #include "wal/log_manager.h"
+#include "temp_dir.h"
 
 namespace mb2 {
 namespace {
@@ -50,13 +51,14 @@ TEST(LogRecordTest, VarcharEncoding) {
 
 class LogManagerTest : public ::testing::Test {
  protected:
-  LogManagerTest() : path_("/tmp/mb2_wal_test.log") {}
+  LogManagerTest() : path_(tmp_.File("wal.log")) {}
 
   uint64_t FileSize() const {
     struct stat st;
     return ::stat(path_.c_str(), &st) == 0 ? st.st_size : 0;
   }
 
+  TempDir tmp_;
   std::string path_;
   SettingsManager settings_;
 };
