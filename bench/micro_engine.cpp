@@ -6,7 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include "database.h"
-#include "exec/compiled_executor.h"
+#include "exec/expr_program.h"
 #include "index/bplus_tree.h"
 #include "metrics/resource_tracker.h"
 #include "runner/ou_runner.h"
@@ -102,10 +102,10 @@ void BM_ExpressionCompiled(benchmark::State &state) {
   auto expr = And(Cmp(CmpOp::kGt, Arith(ArithOp::kMul, ColRef(1), ConstInt(3)),
                       ConstInt(500)),
                   Cmp(CmpOp::kLt, ColRef(2), ConstInt(900)));
-  CompiledExpression compiled(*expr);
+  ExprProgram program(*expr);  // the compiled mode's per-row driver
   Tuple row = {Value::Integer(5), Value::Integer(400), Value::Integer(100)};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(compiled.EvaluateBool(row));
+    benchmark::DoNotOptimize(program.Run(row).IsTrue());
   }
 }
 BENCHMARK(BM_ExpressionCompiled);

@@ -31,16 +31,12 @@ int Value::Compare(const Value &other) const {
   if (type_ == TypeId::kVarchar || other.type_ == TypeId::kVarchar) {
     MB2_ASSERT(type_ == TypeId::kVarchar && other.type_ == TypeId::kVarchar,
                "varchar compared against numeric");
-    return str_.compare(other.str_) < 0 ? -1 : (str_ == other.str_ ? 0 : 1);
+    return ThreeWay(str_, other.str_);
   }
   if (type_ == TypeId::kInteger && other.type_ == TypeId::kInteger) {
-    if (int_ < other.int_) return -1;
-    return int_ == other.int_ ? 0 : 1;
+    return ThreeWay(int_, other.int_);
   }
-  const double a = AsDouble();
-  const double b = other.AsDouble();
-  if (a < b) return -1;
-  return a == b ? 0 : 1;
+  return ThreeWay(AsDouble(), other.AsDouble());
 }
 
 uint64_t Value::Hash() const {

@@ -21,6 +21,15 @@ uint32_t TypeSize(TypeId type);
 
 const char *TypeName(TypeId type);
 
+/// Three-way comparison: -1, 0 or 1. NaN is neither less than nor equal to
+/// anything, so it compares greater. Value::Compare and every expression
+/// driver compare through this one rule.
+template <typename T>
+inline int ThreeWay(const T &a, const T &b) {
+  if (a < b) return -1;
+  return a == b ? 0 : 1;
+}
+
 /// A dynamically typed runtime value. Comparison across mismatched types is
 /// an invariant violation (the planner type-checks expressions up front).
 class Value {

@@ -5,9 +5,8 @@
 #include <unordered_map>
 
 #include "common/serde.h"
-#include "exec/compiled_executor.h"
+#include "exec/expr_program.h"
 #include "exec/interpreter.h"
-#include "exec/vector_ops.h"
 #include "index/bplus_tree.h"
 #include "metrics/metrics_collector.h"
 #include "metrics/work_stats.h"
@@ -29,46 +28,36 @@ size_t VectorBlockRows(ExecutionContext *ctx) {
 
 /// Evaluates `expr` over every row of `batch`, keeping matches. Tracked as
 /// the ARITHMETIC (filter) OU. The interpret path walks the expression tree
-/// per tuple; the compiled path runs the flattened program; the vectorized
-/// path evaluates typed column lanes block-at-a-time (falling back to the
-/// compiled path for varchar predicates).
+/// per tuple; the compiled path runs the flattened program's per-row driver;
+/// the vectorized path runs its block driver (the per-row driver takes the
+/// blocks, or the whole filter, that hold varchars).
 void FilterBatch(const Expression &expr, ExecutionContext *ctx, Batch *batch) {
   const double n = static_cast<double>(batch->NumRows());
   OuTrackerScope scope(OuType::kArithmetic,
                        {n, static_cast<double>(expr.Complexity()),
                         ctx->ModeFeature()});
-  const bool with_slots = !batch->slots.empty();
+  std::vector<SlotId> *slots = batch->slots.empty() ? nullptr : &batch->slots;
   WorkStats::Current().tuples_processed += batch->rows.size();
   if (ctx->mode() == ExecutionMode::kVectorized &&
-      VectorizedFilter(expr, VectorBlockRows(ctx), &batch->rows,
-                       with_slots ? &batch->slots : nullptr)) {
+      VectorizedFilter(expr, VectorBlockRows(ctx), &batch->rows, slots)) {
+    return;
+  }
+  if (ctx->mode() != ExecutionMode::kInterpret) {
+    ExprProgram program(expr);
+    FilterRows(&program, /*block_rows=*/0, &batch->rows, slots);
     return;
   }
   size_t kept = 0;
-  if (ctx->mode() != ExecutionMode::kInterpret) {
-    CompiledExpression compiled(expr);
-    for (size_t i = 0; i < batch->rows.size(); i++) {
-      if (compiled.EvaluateBool(batch->rows[i])) {
-        if (kept != i) {
-          batch->rows[kept] = std::move(batch->rows[i]);
-          if (with_slots) batch->slots[kept] = batch->slots[i];
-        }
-        kept++;
-      }
+  for (size_t i = 0; i < batch->rows.size(); i++) {
+    if (!expr.EvaluateBool(batch->rows[i])) continue;
+    if (kept != i) {
+      batch->rows[kept] = std::move(batch->rows[i]);
+      if (slots != nullptr) (*slots)[kept] = (*slots)[i];
     }
-  } else {
-    for (size_t i = 0; i < batch->rows.size(); i++) {
-      if (expr.EvaluateBool(batch->rows[i])) {
-        if (kept != i) {
-          batch->rows[kept] = std::move(batch->rows[i]);
-          if (with_slots) batch->slots[kept] = batch->slots[i];
-        }
-        kept++;
-      }
-    }
+    kept++;
   }
   batch->rows.resize(kept);
-  if (with_slots) batch->slots.resize(kept);
+  if (slots != nullptr) slots->resize(kept);
 }
 
 Tuple ProjectRow(const Tuple &row, const std::vector<uint32_t> &columns) {
@@ -121,6 +110,19 @@ double DistinctKeys(const Batch &batch, const std::vector<uint32_t> &keys) {
   return static_cast<double>(seen.size());
 }
 
+/// Vectorized mode hoists key hashing out of the hash-table loops: the hash
+/// of every row's key columns, in row order. Empty in the other modes, whose
+/// loops hash each row as they reach it.
+std::vector<uint64_t> KeyHashes(ExecutionContext *ctx,
+                                const std::vector<Tuple> &rows,
+                                const std::vector<uint32_t> &keys) {
+  std::vector<uint64_t> hashes;
+  if (ctx->mode() != ExecutionMode::kVectorized) return hashes;
+  hashes.reserve(rows.size());
+  for (const Tuple &row : rows) hashes.push_back(HashColumns(row, keys));
+  return hashes;
+}
+
 bool KeysEqual(const Tuple &a, const std::vector<uint32_t> &a_cols,
                const Tuple &b, const std::vector<uint32_t> &b_cols) {
   for (size_t i = 0; i < a_cols.size(); i++) {
@@ -142,7 +144,7 @@ bool KeysEqual(const Tuple &a, const std::vector<uint32_t> &a_cols,
 /// materialize-then-filter path because blocks preserve slot order.
 Status ExecSeqScanFused(const SeqScanPlan &plan, ExecutionContext *ctx,
                         Table *table, SlotId num_slots,
-                        VectorizedExpression *vec, Batch *out) {
+                        ExprProgram *predicate, Batch *out) {
   FeatureVector features = MakeExecFeatures(
       static_cast<double>(num_slots),
       static_cast<double>(table->schema().NumColumns()),
@@ -165,20 +167,12 @@ Status ExecSeqScanFused(const SeqScanPlan &plan, ExecutionContext *ctx,
     // tuples_processed counts the filter pass over visible rows, matching
     // the separate FilterBatch call of the unfused path.
     ws.tuples_processed += ptrs.size();
-    if (vec->EvaluateBlock(ptrs.data(), ptrs.size())) {
-      for (size_t l = 0; l < ptrs.size(); l++) {
-        if (!vec->LaneBool(l)) continue;
-        out->rows.push_back(*ptrs[l]);
-        if (plan.with_slots) out->slots.push_back(slots[l]);
-      }
-    } else {
-      // Varchar value in this block: scalar fallback, same results.
-      for (size_t l = 0; l < ptrs.size(); l++) {
-        if (!plan.predicate->EvaluateBool(*ptrs[l])) continue;
-        out->rows.push_back(*ptrs[l]);
-        if (plan.with_slots) out->slots.push_back(slots[l]);
-      }
-    }
+    predicate->ForBlock(ptrs.data(), ptrs.size(),
+                        [&](size_t l, const Datum &keep) {
+                          if (!keep.IsTrue()) return;
+                          out->rows.push_back(*ptrs[l]);
+                          if (plan.with_slots) out->slots.push_back(slots[l]);
+                        });
     ptrs.clear();
     slots.clear();
   };
@@ -272,9 +266,9 @@ Status ExecSeqScan(const SeqScanPlan &plan, ExecutionContext *ctx, Batch *out) {
   }
   if (ctx->mode() == ExecutionMode::kVectorized && plan.predicate != nullptr &&
       plan.columns.empty()) {
-    VectorizedExpression vec(*plan.predicate);
-    if (vec.Supported()) {
-      return ExecSeqScanFused(plan, ctx, table, num_slots, &vec, out);
+    ExprProgram predicate(*plan.predicate);
+    if (predicate.Supported()) {
+      return ExecSeqScanFused(plan, ctx, table, num_slots, &predicate, out);
     }
   }
   {
@@ -363,19 +357,8 @@ Status ExecHashJoin(const HashJoinPlan &plan, ExecutionContext *ctx,
     OuTrackerScope scope(OuType::kHashJoinBuild, std::move(features));
     ht.reserve(build.rows.size());
     WorkStats &ws = WorkStats::Current();
-    // Vectorized mode hoists key hashing out of the insertion loop and runs
-    // it vector-at-a-time; insertion order (hence results) is unchanged.
-    std::vector<uint64_t> hashes;
-    if (ctx->mode() == ExecutionMode::kVectorized) {
-      hashes.resize(build.rows.size());
-      const size_t block = VectorBlockRows(ctx);
-      for (size_t begin = 0; begin < build.rows.size(); begin += block) {
-        const size_t end = std::min(begin + block, build.rows.size());
-        for (size_t i = begin; i < end; i++) {
-          hashes[i] = HashColumns(build.rows[i], plan.build_keys);
-        }
-      }
-    }
+    const std::vector<uint64_t> hashes =
+        KeyHashes(ctx, build.rows, plan.build_keys);
     // Sec 8.5's simulated "software update": a 1µs stall every N inserts.
     const auto sleep_every = static_cast<uint64_t>(
         ctx->settings()->GetDouble("jht_sleep_every_n"));
@@ -408,17 +391,8 @@ Status ExecHashJoin(const HashJoinPlan &plan, ExecutionContext *ctx,
         probe.AvgTupleBytes(), 0.0, payload, 1.0, ctx->ModeFeature());
     OuTrackerScope scope(OuType::kHashJoinProbe, std::move(features));
     WorkStats &ws = WorkStats::Current();
-    std::vector<uint64_t> hashes;
-    if (ctx->mode() == ExecutionMode::kVectorized) {
-      hashes.resize(probe.rows.size());
-      const size_t block = VectorBlockRows(ctx);
-      for (size_t begin = 0; begin < probe.rows.size(); begin += block) {
-        const size_t end = std::min(begin + block, probe.rows.size());
-        for (size_t i = begin; i < end; i++) {
-          hashes[i] = HashColumns(probe.rows[i], plan.probe_keys);
-        }
-      }
-    }
+    const std::vector<uint64_t> hashes =
+        KeyHashes(ctx, probe.rows, plan.probe_keys);
     for (size_t p = 0; p < probe.rows.size(); p++) {
       const auto &probe_row = probe.rows[p];
       ws.hash_ops++;
@@ -494,16 +468,6 @@ Status ExecAggregate(const AggregatePlan &plan, ExecutionContext *ctx,
   std::unordered_map<uint64_t, Group> groups;
   const double n = static_cast<double>(input.NumRows());
 
-  // Pre-compile the aggregate argument expressions once per execution
-  // (vectorized mode shares the compiled per-tuple path here).
-  std::vector<std::unique_ptr<CompiledExpression>> compiled;
-  if (ctx->mode() != ExecutionMode::kInterpret) {
-    for (const auto &term : plan.terms) {
-      compiled.push_back(term.arg ? std::make_unique<CompiledExpression>(*term.arg)
-                                  : nullptr);
-    }
-  }
-
   {
     FeatureVector features = MakeExecFeatures(
         n, static_cast<double>(input.rows.empty() ? 0 : input.rows[0].size()),
@@ -512,41 +476,28 @@ Status ExecAggregate(const AggregatePlan &plan, ExecutionContext *ctx,
         1.0, ctx->ModeFeature());
     OuTrackerScope scope(OuType::kAggBuild, std::move(features));
     WorkStats &ws = WorkStats::Current();
-    // Vectorized mode hoists key hashing and aggregate-argument evaluation
-    // out of the grouping loop and runs both vector-at-a-time; the per-row
-    // loop below then only does hash-table ops. Lane doubles are the
-    // interpreter's AsDouble() view, so accumulated sums stay bit-identical.
-    std::vector<uint64_t> hashes;
+    // The compiled and vectorized modes evaluate each aggregate argument for
+    // all rows up front with its program, so the grouping loop below only
+    // does hash-table ops; vectorized mode hashes the group keys up front
+    // too. The accumulators take the argument's AsDouble() view in every
+    // mode, so sums stay bit-identical.
+    const std::vector<uint64_t> hashes =
+        plan.group_by.empty() ? std::vector<uint64_t>{}
+                              : KeyHashes(ctx, input.rows, plan.group_by);
     std::vector<std::vector<double>> term_vals(plan.terms.size());
-    if (ctx->mode() == ExecutionMode::kVectorized && !input.rows.empty()) {
-      const size_t block = VectorBlockRows(ctx);
-      if (!plan.group_by.empty()) {
-        hashes.resize(input.rows.size());
-        for (size_t begin = 0; begin < input.rows.size(); begin += block) {
-          const size_t end = std::min(begin + block, input.rows.size());
-          for (size_t i = begin; i < end; i++) {
-            hashes[i] = HashColumns(input.rows[i], plan.group_by);
-          }
-        }
-      }
+    if (ctx->mode() != ExecutionMode::kInterpret) {
+      // 0 rows per block selects the per-row driver.
+      const size_t block = ctx->mode() == ExecutionMode::kVectorized
+                               ? VectorBlockRows(ctx)
+                               : 0;
       for (size_t t = 0; t < plan.terms.size(); t++) {
         if (plan.terms[t].arg == nullptr) continue;
-        VectorizedExpression vec(*plan.terms[t].arg);
-        if (!vec.Supported()) continue;
-        std::vector<double> vals(input.rows.size());
-        bool ok = true;
-        for (size_t begin = 0; ok && begin < input.rows.size();
-             begin += block) {
-          const size_t n_rows = std::min(block, input.rows.size() - begin);
-          if (!vec.EvaluateBlock(input.rows, begin, n_rows)) {
-            ok = false;  // varchar column value: keep the per-row path
-            break;
-          }
-          for (size_t l = 0; l < n_rows; l++) {
-            vals[begin + l] = vec.LaneDouble(l);
-          }
-        }
-        if (ok) term_vals[t] = std::move(vals);
+        ExprProgram program(*plan.terms[t].arg);
+        std::vector<double> &vals = term_vals[t];
+        vals.resize(input.rows.size());
+        program.ForEach(input.rows, block, [&vals](size_t i, const Datum &d) {
+          vals[i] = d.Number();
+        });
       }
     }
     for (size_t r = 0; r < input.rows.size(); r++) {
@@ -569,12 +520,8 @@ Status ExecAggregate(const AggregatePlan &plan, ExecutionContext *ctx,
         const auto &term = plan.terms[t];
         if (term.arg == nullptr) {
           g.accs[t].AddCountOnly();
-        } else if (!term_vals[t].empty()) {
-          g.accs[t].Add(term_vals[t][r]);
         } else if (ctx->mode() != ExecutionMode::kInterpret) {
-          g.accs[t].Add(compiled[t]->IsNumeric()
-                            ? compiled[t]->EvaluateNumeric(row)
-                            : compiled[t]->Evaluate(row).AsDouble());
+          g.accs[t].Add(term_vals[t][r]);
         } else {
           g.accs[t].Add(term.arg->Evaluate(row).AsDouble());
         }
@@ -684,21 +631,19 @@ Status ExecProjection(const ProjectionPlan &plan, ExecutionContext *ctx,
     WorkStats::Current().tuples_processed += out->rows.size();
     return Status::Ok();
   }
-  std::vector<std::unique_ptr<CompiledExpression>> compiled;
+  // Compiled mode, and vectorized mode when a varchar constant keeps the
+  // block driver out, run each expression's per-row driver.
+  std::vector<ExprProgram> programs;
   if (ctx->mode() != ExecutionMode::kInterpret) {
-    for (const auto &e : plan.exprs) {
-      compiled.push_back(std::make_unique<CompiledExpression>(*e));
-    }
+    programs.reserve(plan.exprs.size());
+    for (const auto &e : plan.exprs) programs.emplace_back(*e);
   }
   out->rows.reserve(input.rows.size());
   for (const auto &row : input.rows) {
     Tuple projected;
     projected.reserve(plan.exprs.size());
     if (ctx->mode() != ExecutionMode::kInterpret) {
-      // The Value-typed program preserves integer results exactly; the
-      // numeric fast path is reserved for filters and aggregates where the
-      // output is a double or a boolean anyway.
-      for (const auto &ce : compiled) projected.push_back(ce->Evaluate(row));
+      for (ExprProgram &p : programs) projected.push_back(p.Run(row).ToValue());
     } else {
       for (const auto &e : plan.exprs) projected.push_back(e->Evaluate(row));
     }

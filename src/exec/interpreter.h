@@ -17,7 +17,7 @@ class TupleAccessor {
   virtual Value Get(const Tuple &row, uint32_t col) const = 0;
 };
 
-/// Shared interpreted accessor instance (defined in compiled_executor.cpp).
+/// Shared interpreted accessor instance (defined in interpreter.cpp).
 const TupleAccessor *GetInterpretedAccessor();
 
 }  // namespace mb2

@@ -12,38 +12,15 @@ Value Expression::Evaluate(const Tuple &row) const {
       const Value lhs = children[0]->Evaluate(row);
       const Value rhs = children[1]->Evaluate(row);
       if (lhs.type() == TypeId::kInteger && rhs.type() == TypeId::kInteger) {
-        const int64_t a = lhs.AsInt(), b = rhs.AsInt();
-        switch (arith_op) {
-          case ArithOp::kAdd: return Value::Integer(a + b);
-          case ArithOp::kSub: return Value::Integer(a - b);
-          case ArithOp::kMul: return Value::Integer(a * b);
-          case ArithOp::kDiv: return Value::Integer(b == 0 ? 0 : a / b);
-        }
-        MB2_UNREACHABLE("bad arith op");
+        return Value::Integer(IntArith(arith_op, lhs.AsInt(), rhs.AsInt()));
       }
-      const double a = lhs.AsDouble(), b = rhs.AsDouble();
-      switch (arith_op) {
-        case ArithOp::kAdd: return Value::Double(a + b);
-        case ArithOp::kSub: return Value::Double(a - b);
-        case ArithOp::kMul: return Value::Double(a * b);
-        case ArithOp::kDiv: return Value::Double(b == 0.0 ? 0.0 : a / b);
-      }
-      MB2_UNREACHABLE("bad arith op");
+      return Value::Double(
+          DoubleArith(arith_op, lhs.AsDouble(), rhs.AsDouble()));
     }
     case ExprType::kComparison: {
       const Value lhs = children[0]->Evaluate(row);
       const Value rhs = children[1]->Evaluate(row);
-      const int c = lhs.Compare(rhs);
-      bool result = false;
-      switch (cmp_op) {
-        case CmpOp::kEq: result = c == 0; break;
-        case CmpOp::kNe: result = c != 0; break;
-        case CmpOp::kLt: result = c < 0; break;
-        case CmpOp::kLe: result = c <= 0; break;
-        case CmpOp::kGt: result = c > 0; break;
-        case CmpOp::kGe: result = c >= 0; break;
-      }
-      return Value::Integer(result ? 1 : 0);
+      return Value::Integer(ApplyCmp(cmp_op, lhs.Compare(rhs)) ? 1 : 0);
     }
     case ExprType::kLogic: {
       switch (logic_op) {

@@ -1,12 +1,15 @@
-// Plan-layer tests: expression evaluation (interpreted vs compiled as a
-// property over random expressions), complexity counting, plan cloning and
-// schema derivation, and the cardinality estimator.
+// Plan-layer tests: expression evaluation (the tree walk vs both drivers of
+// the flattened program as a property over random expressions), complexity
+// counting, plan cloning and schema derivation, and the cardinality
+// estimator.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/rng.h"
 #include "database.h"
-#include "exec/compiled_executor.h"
+#include "exec/expr_program.h"
 #include "plan/cardinality_estimator.h"
 #include "plan/expression.h"
 #include "plan/plan_node.h"
@@ -74,15 +77,35 @@ TEST(ExpressionTest, CloneIsDeepAndEquivalent) {
   EXPECT_NE(expr->Evaluate(row).AsInt(), clone->Evaluate(row).AsInt());
 }
 
-// --- Property test: compiled == interpreted over random expressions ---------
+// --- Property test: both program drivers == the tree walk -------------------
+
+bool ValuesBitIdentical(const Value &a, const Value &b) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case TypeId::kInteger: return a.AsInt() == b.AsInt();
+    case TypeId::kVarchar: return a.AsVarchar() == b.AsVarchar();
+    case TypeId::kDouble: {
+      const double da = a.AsDouble(), db = b.AsDouble();
+      return std::memcmp(&da, &db, sizeof(da)) == 0;
+    }
+  }
+  return false;
+}
+
+/// An integer just above 2^53, where neighbouring int64 values share one
+/// double: a driver that computes integers in doubles gets these wrong.
+int64_t BigInt(Rng *rng) { return (int64_t{1} << 53) + rng->Uniform(-2, 2); }
 
 ExprPtr RandomExpr(Rng *rng, uint32_t num_cols, int depth) {
   if (depth == 0 || rng->Uniform(0, 3) == 0) {
     if (rng->Uniform(0, 1) == 0) {
       return ColRef(static_cast<uint32_t>(rng->Uniform(0, num_cols - 1)));
     }
-    return rng->Uniform(0, 1) == 0 ? ConstInt(rng->Uniform(-20, 20))
-                                   : ConstDouble(rng->Uniform(-5.0, 5.0));
+    switch (rng->Uniform(0, 2)) {
+      case 0: return ConstInt(rng->Uniform(-20, 20));
+      case 1: return ConstInt(BigInt(rng));
+      default: return ConstDouble(rng->Uniform(-5.0, 5.0));
+    }
   }
   switch (rng->Uniform(0, 2)) {
     case 0:
@@ -116,19 +139,32 @@ TEST_P(CompiledEquivalence, MatchesInterpreterOnRandomExpressions) {
   constexpr uint32_t kCols = 4;
   for (int trial = 0; trial < 50; trial++) {
     ExprPtr expr = RandomExpr(&rng, kCols, 3);
-    CompiledExpression compiled(*expr);
-    for (int i = 0; i < 20; i++) {
-      Tuple row;
+    ExprProgram program(*expr);
+    // Columns 0 and 2 are integers (column 2 often beyond 2^53), columns 1
+    // and 3 doubles.
+    std::vector<Tuple> rows(20);
+    std::vector<const Tuple *> ptrs;
+    for (Tuple &row : rows) {
       for (uint32_t c = 0; c < kCols; c++) {
-        row.push_back(c % 2 == 0 ? Value::Integer(rng.Uniform(-10, 10))
-                                 : Value::Double(rng.Uniform(-3.0, 3.0)));
+        if (c % 2 == 1) {
+          row.push_back(Value::Double(rng.Uniform(-3.0, 3.0)));
+        } else if (c == 2 && rng.Uniform(0, 1) == 0) {
+          row.push_back(Value::Integer(BigInt(&rng)));
+        } else {
+          row.push_back(Value::Integer(rng.Uniform(-10, 10)));
+        }
       }
-      const Value expected = expr->Evaluate(row);
-      const Value actual = compiled.Evaluate(row);
-      ASSERT_NEAR(expected.AsDouble(), actual.AsDouble(), 1e-9)
-          << "trial " << trial;
-      // Boolean-context agreement (covers the numeric fast path).
-      ASSERT_EQ(expr->EvaluateBool(row), compiled.EvaluateBool(row));
+      ptrs.push_back(&row);
+    }
+    ASSERT_TRUE(program.EvaluateBlock(ptrs.data(), ptrs.size()));
+    for (size_t i = 0; i < rows.size(); i++) {
+      const Value expected = expr->Evaluate(rows[i]);
+      ASSERT_TRUE(ValuesBitIdentical(expected, program.Run(rows[i]).ToValue()))
+          << "per-row driver, trial " << trial << ": " << expected.ToString();
+      ASSERT_TRUE(ValuesBitIdentical(expected, program.Lane(i).ToValue()))
+          << "block driver, trial " << trial << ": " << expected.ToString();
+      ASSERT_EQ(expr->EvaluateBool(rows[i]), program.Run(rows[i]).IsTrue());
+      ASSERT_EQ(expr->EvaluateBool(rows[i]), program.Lane(i).IsTrue());
     }
   }
 }
