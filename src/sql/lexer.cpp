@@ -1,6 +1,7 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <charconv>
 #include <set>
 
 namespace mb2::sql {
@@ -59,15 +60,23 @@ Result<std::vector<Token>> Tokenize(const std::string &input) {
         if (input[j] == '.') is_float = true;
         j++;
       }
-      const std::string num = input.substr(i, j - i);
-      if (is_float) {
-        token.type = TokenType::kFloat;
-        token.float_value = std::stod(num);
-      } else {
-        token.type = TokenType::kInteger;
-        token.int_value = std::stoll(num);
+      // The whole run of digits and dots must be one number that fits its
+      // type: "1.2.3" and an out-of-range literal are input errors.
+      const char *first = input.data() + i;
+      const char *last = input.data() + j;
+      const std::from_chars_result parsed =
+          is_float ? std::from_chars(first, last, token.float_value)
+                   : std::from_chars(first, last, token.int_value);
+      if (parsed.ec == std::errc::result_out_of_range) {
+        return Status::InvalidArgument("number out of range at offset " +
+                                       std::to_string(i));
       }
-      token.text = num;
+      if (parsed.ec != std::errc() || parsed.ptr != last) {
+        return Status::InvalidArgument("malformed number at offset " +
+                                       std::to_string(i));
+      }
+      token.type = is_float ? TokenType::kFloat : TokenType::kInteger;
+      token.text = input.substr(i, j - i);
       token.literal_ordinal = next_literal++;
       i = j;
     } else if (c == '\'') {

@@ -34,7 +34,7 @@ struct Token {
 };
 
 /// Splits `input` into tokens; returns InvalidArgument on malformed input
-/// (unterminated string, stray character).
+/// (unterminated string, stray character, malformed or out-of-range number).
 Result<std::vector<Token>> Tokenize(const std::string &input);
 
 /// True when `word` (already uppercased) is a reserved keyword.

@@ -136,6 +136,46 @@ class Parser {
     return static_cast<uint32_t>(idx);
   }
 
+  // --- static types ---------------------------------------------------------
+  // A bound expression is a VARCHAR (a VARCHAR column or a string literal)
+  // or a number (anything else; INTEGER and DOUBLE mix freely at run time).
+  // Each operator checks its operands as it is built: arithmetic, logic and
+  // SUM/AVG/MIN/MAX take numbers, a comparison takes two numbers or two
+  // VARCHARs. So an ill-typed statement fails here with InvalidArgument and
+  // never reaches the engine, whose Value accessors assert on a mismatch.
+  // The checks read only literal types and the catalog, and the plan cache
+  // keys both, so a cached plan never needs a second check.
+
+  bool IsVarchar(const Expression &e) const {
+    if (e.type == ExprType::kConstant) {
+      return e.constant.type() == TypeId::kVarchar;
+    }
+    return e.type == ExprType::kColumnRef &&
+           ColumnType(e.col_idx) == TypeId::kVarchar;
+  }
+
+  /// Declared type of joined-row column `col`.
+  TypeId ColumnType(uint32_t col) const {
+    const FromTable &ft = from_[TableOf(col)];
+    return ft.table->schema().GetColumn(col - ft.column_offset).type;
+  }
+
+  /// InvalidArgument naming the token at index `at` (an operator or clause).
+  Status TypeError(size_t at, const std::string &message) const {
+    return Status::InvalidArgument("'" + tokens_[at].text + "' " + message +
+                                   " at offset " +
+                                   std::to_string(tokens_[at].position));
+  }
+
+  /// Fails unless `lhs` (and `rhs`, when given) are numbers.
+  Status ExpectNumbers(size_t at, const Expression &lhs,
+                       const Expression *rhs = nullptr) const {
+    if (IsVarchar(lhs) || (rhs != nullptr && IsVarchar(*rhs))) {
+      return TypeError(at, "takes numbers, not VARCHAR");
+    }
+    return Status::Ok();
+  }
+
   // --- expressions ----------------------------------------------------------
 
   Result<ExprPtr> ParseExpression() { return ParseOr(); }
@@ -143,9 +183,11 @@ class Parser {
   Result<ExprPtr> ParseOr() {
     auto lhs = ParseAnd();
     if (!lhs.ok()) return lhs;
-    while (AcceptKeyword("OR")) {
+    for (size_t at = pos_; AcceptKeyword("OR"); at = pos_) {
       auto rhs = ParseAnd();
       if (!rhs.ok()) return rhs;
+      Status s = ExpectNumbers(at, *lhs.value(), rhs.value().get());
+      if (!s.ok()) return s;
       lhs = Or(std::move(lhs.value()), std::move(rhs.value()));
     }
     return lhs;
@@ -154,18 +196,23 @@ class Parser {
   Result<ExprPtr> ParseAnd() {
     auto lhs = ParseNot();
     if (!lhs.ok()) return lhs;
-    while (AcceptKeyword("AND")) {
+    for (size_t at = pos_; AcceptKeyword("AND"); at = pos_) {
       auto rhs = ParseNot();
       if (!rhs.ok()) return rhs;
+      Status s = ExpectNumbers(at, *lhs.value(), rhs.value().get());
+      if (!s.ok()) return s;
       lhs = And(std::move(lhs.value()), std::move(rhs.value()));
     }
     return lhs;
   }
 
   Result<ExprPtr> ParseNot() {
+    const size_t at = pos_;
     if (AcceptKeyword("NOT")) {
       auto child = ParseNot();
       if (!child.ok()) return child;
+      Status s = ExpectNumbers(at, *child.value());
+      if (!s.ok()) return s;
       return Not(std::move(child.value()));
     }
     return ParseComparison();
@@ -178,10 +225,14 @@ class Parser {
         {"<=", CmpOp::kLe}, {">=", CmpOp::kGe}, {"<>", CmpOp::kNe},
         {"!=", CmpOp::kNe}, {"=", CmpOp::kEq},  {"<", CmpOp::kLt},
         {">", CmpOp::kGt}};
+    const size_t at = pos_;
     for (const auto &[sym, op] : kOps) {
       if (AcceptSymbol(sym)) {
         auto rhs = ParseAdditive();
         if (!rhs.ok()) return rhs;
+        if (IsVarchar(*lhs.value()) != IsVarchar(*rhs.value())) {
+          return TypeError(at, "compares a VARCHAR with a number");
+        }
         return Cmp(op, std::move(lhs.value()), std::move(rhs.value()));
       }
     }
@@ -189,38 +240,35 @@ class Parser {
   }
 
   Result<ExprPtr> ParseAdditive() {
-    auto lhs = ParseMultiplicative();
-    if (!lhs.ok()) return lhs;
-    for (;;) {
-      if (AcceptSymbol("+")) {
-        auto rhs = ParseMultiplicative();
-        if (!rhs.ok()) return rhs;
-        lhs = Arith(ArithOp::kAdd, std::move(lhs.value()), std::move(rhs.value()));
-      } else if (AcceptSymbol("-")) {
-        auto rhs = ParseMultiplicative();
-        if (!rhs.ok()) return rhs;
-        lhs = Arith(ArithOp::kSub, std::move(lhs.value()), std::move(rhs.value()));
-      } else {
-        return lhs;
-      }
-    }
+    return ParseArithmetic(&Parser::ParseMultiplicative, "+", ArithOp::kAdd,
+                           "-", ArithOp::kSub);
   }
 
   Result<ExprPtr> ParseMultiplicative() {
-    auto lhs = ParsePrimary();
+    return ParseArithmetic(&Parser::ParsePrimary, "*", ArithOp::kMul, "/",
+                           ArithOp::kDiv);
+  }
+
+  /// One left-associative level of binary arithmetic over `operand`.
+  Result<ExprPtr> ParseArithmetic(Result<ExprPtr> (Parser::*operand)(),
+                                  const char *sym1, ArithOp op1,
+                                  const char *sym2, ArithOp op2) {
+    auto lhs = (this->*operand)();
     if (!lhs.ok()) return lhs;
-    for (;;) {
-      if (AcceptSymbol("*")) {
-        auto rhs = ParsePrimary();
-        if (!rhs.ok()) return rhs;
-        lhs = Arith(ArithOp::kMul, std::move(lhs.value()), std::move(rhs.value()));
-      } else if (AcceptSymbol("/")) {
-        auto rhs = ParsePrimary();
-        if (!rhs.ok()) return rhs;
-        lhs = Arith(ArithOp::kDiv, std::move(lhs.value()), std::move(rhs.value()));
+    for (size_t at = pos_;; at = pos_) {
+      ArithOp op;
+      if (AcceptSymbol(sym1)) {
+        op = op1;
+      } else if (AcceptSymbol(sym2)) {
+        op = op2;
       } else {
         return lhs;
       }
+      auto rhs = (this->*operand)();
+      if (!rhs.ok()) return rhs;
+      Status s = ExpectNumbers(at, *lhs.value(), rhs.value().get());
+      if (!s.ok()) return s;
+      lhs = Arith(op, std::move(lhs.value()), std::move(rhs.value()));
     }
   }
 
@@ -232,9 +280,12 @@ class Parser {
       if (!s.ok()) return s;
       return inner;
     }
+    const size_t at = pos_;
     if (AcceptSymbol("-")) {
       auto child = ParsePrimary();
       if (!child.ok()) return child;
+      Status s = ExpectNumbers(at, *child.value());
+      if (!s.ok()) return s;
       return Arith(ArithOp::kSub, ConstInt(0), std::move(child.value()));
     }
     const Token &t = Peek();
@@ -266,6 +317,19 @@ class Parser {
   }
 
   // --- predicate utilities ---------------------------------------------------
+
+  /// An optional WHERE clause, split into AND-ed conjuncts. The predicate's
+  /// truth is a number, so a VARCHAR predicate is a type error.
+  Status ParseWhere(std::vector<ExprPtr> *conjuncts) {
+    const size_t at = pos_;
+    if (!AcceptKeyword("WHERE")) return Status::Ok();
+    auto predicate = ParseExpression();
+    if (!predicate.ok()) return predicate.status();
+    Status s = ExpectNumbers(at, *predicate.value());
+    if (!s.ok()) return s;
+    SplitConjuncts(std::move(predicate.value()), conjuncts);
+    return Status::Ok();
+  }
 
   /// Splits a predicate into AND-ed conjuncts (consumes the expression).
   static void SplitConjuncts(ExprPtr expr, std::vector<ExprPtr> *out) {
@@ -336,12 +400,17 @@ class Parser {
       if (!lhs.ok()) return lhs.status();
       auto lcol = ResolveColumn(lhs.value());
       if (!lcol.ok()) return lcol.status();
+      const size_t eq_at = pos_;
       s = ExpectSymbol("=");
       if (!s.ok()) return s;
       auto rhs = ExpectIdentifier();
       if (!rhs.ok()) return rhs.status();
       auto rcol = ResolveColumn(rhs.value());
       if (!rcol.ok()) return rcol.status();
+      if ((ColumnType(lcol.value()) == TypeId::kVarchar) !=
+          (ColumnType(rcol.value()) == TypeId::kVarchar)) {
+        return TypeError(eq_at, "compares a VARCHAR with a number");
+      }
       const int o1 = TableOf(lcol.value());
       const int o2 = TableOf(rcol.value());
       if (o1 < 0 || o2 < 0 || o1 == o2) {
@@ -357,26 +426,23 @@ class Parser {
 
     // WHERE, split into per-table conjuncts (pushdown).
     std::vector<std::vector<ExprPtr>> per_table(from_.size());
-    if (AcceptKeyword("WHERE")) {
-      auto predicate = ParseExpression();
-      if (!predicate.ok()) return predicate.status();
-      std::vector<ExprPtr> conjuncts;
-      SplitConjuncts(std::move(predicate.value()), &conjuncts);
-      for (auto &conjunct : conjuncts) {
-        uint32_t lo = UINT32_MAX, hi = 0;
-        ColumnRange(*conjunct, &lo, &hi);
-        if (lo == UINT32_MAX) {
-          per_table[0].push_back(std::move(conjunct));  // constant predicate
-          continue;
-        }
-        const int owner = TableOf(lo);
-        if (owner < 0 || owner != TableOf(hi)) {
-          return Error("WHERE conjuncts must reference a single table "
-                       "(join conditions go in ON)");
-        }
-        RebaseColumns(conjunct.get(), from_[owner].column_offset);
-        per_table[owner].push_back(std::move(conjunct));
+    std::vector<ExprPtr> conjuncts;
+    s = ParseWhere(&conjuncts);
+    if (!s.ok()) return s;
+    for (auto &conjunct : conjuncts) {
+      uint32_t lo = UINT32_MAX, hi = 0;
+      ColumnRange(*conjunct, &lo, &hi);
+      if (lo == UINT32_MAX) {
+        per_table[0].push_back(std::move(conjunct));  // constant predicate
+        continue;
       }
+      const int owner = TableOf(lo);
+      if (owner < 0 || owner != TableOf(hi)) {
+        return Error("WHERE conjuncts must reference a single table "
+                     "(join conditions go in ON)");
+      }
+      RebaseColumns(conjunct.get(), from_[owner].column_offset);
+      per_table[owner].push_back(std::move(conjunct));
     }
 
     // Access paths and join order are the optimizer's call (heuristic or
@@ -404,6 +470,7 @@ class Parser {
                  (Peek().text == "COUNT" || Peek().text == "SUM" ||
                   Peek().text == "AVG" || Peek().text == "MIN" ||
                   Peek().text == "MAX")) {
+        const size_t fn_at = pos_;
         const std::string fn = Next().text;
         item.kind = SelectItem::Kind::kAggregate;
         item.agg_func = fn == "COUNT" ? AggFunc::kCount
@@ -418,7 +485,13 @@ class Parser {
         } else {
           auto arg = ParseExpression();
           if (!arg.ok()) return arg.status();
-          item.expr = std::move(arg.value());
+          // The engine has no NULLs, so COUNT(x) of any type counts rows:
+          // it binds as COUNT(*). The other aggregates take numbers.
+          if (item.agg_func != AggFunc::kCount) {
+            st = ExpectNumbers(fn_at, *arg.value());
+            if (!st.ok()) return st;
+            item.expr = std::move(arg.value());
+          }
         }
         st = ExpectSymbol(")");
         if (!st.ok()) return st;
@@ -667,19 +740,24 @@ class Parser {
       if (!col_name.ok()) return col_name.status();
       auto col = ResolveBaseColumn(table, col_name.value());
       if (!col.ok()) return col.status();
+      const size_t eq_at = pos_;
       s = ExpectSymbol("=");
       if (!s.ok()) return s;
       auto expr = ParseExpression();
       if (!expr.ok()) return expr.status();
+      const bool varchar_column =
+          table->schema().GetColumn(col.value()).type == TypeId::kVarchar;
+      if (IsVarchar(*expr.value()) != varchar_column) {
+        return TypeError(eq_at, varchar_column
+                                    ? "stores a number into a VARCHAR column"
+                                    : "stores a VARCHAR into a numeric column");
+      }
       update->sets.emplace_back(col.value(), std::move(expr.value()));
     } while (AcceptSymbol(","));
 
     std::vector<ExprPtr> conjuncts;
-    if (AcceptKeyword("WHERE")) {
-      auto predicate = ParseExpression();
-      if (!predicate.ok()) return predicate.status();
-      SplitConjuncts(std::move(predicate.value()), &conjuncts);
-    }
+    s = ParseWhere(&conjuncts);
+    if (!s.ok()) return s;
     update->children.push_back(db_->optimizer().ChooseScan(
         table, std::move(conjuncts), /*with_slots=*/true));
 
@@ -702,11 +780,8 @@ class Parser {
     if (!s.ok()) return s;
 
     std::vector<ExprPtr> conjuncts;
-    if (AcceptKeyword("WHERE")) {
-      auto predicate = ParseExpression();
-      if (!predicate.ok()) return predicate.status();
-      SplitConjuncts(std::move(predicate.value()), &conjuncts);
-    }
+    s = ParseWhere(&conjuncts);
+    if (!s.ok()) return s;
     auto del = std::make_unique<DeletePlan>();
     del->table = name.value();
     del->children.push_back(db_->optimizer().ChooseScan(

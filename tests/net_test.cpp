@@ -221,10 +221,35 @@ TEST_F(NetTest, BadOrderByIsBadRequestAndServerKeepsServing) {
                               "val DOUBLE, tag VARCHAR)")
                   .ok());
   ASSERT_TRUE(client.ExecuteSql("INSERT INTO fact VALUES (1, 2, 3.0, 'x')").ok());
-  // A bad ordinal is the client's error; the server must keep serving.
-  const auto bad = client.ExecuteSql("SELECT qty, id FROM fact ORDER BY 0");
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), ErrorCode::kInvalidArgument);  // BAD_REQUEST
+  // A bad statement is the client's error; the server must keep serving.
+  const char *bad_statements[] = {
+      "SELECT qty, id FROM fact ORDER BY 0",
+      "SELECT id FROM fact WHERE tag = 5",                 // VARCHAR vs number
+      "SELECT tag + 1 FROM fact",
+      "SELECT MIN(tag) FROM fact",
+      "UPDATE fact SET id = 'x'",
+      "SELECT id FROM fact WHERE id = 9223372036854775808",  // out of range
+      "SELECT id FROM fact WHERE id = 1.2.3",
+  };
+  for (const char *statement : bad_statements) {
+    const auto bad = client.ExecuteSql(statement);
+    ASSERT_FALSE(bad.ok()) << statement;
+    EXPECT_EQ(bad.status().code(), ErrorCode::kInvalidArgument)  // BAD_REQUEST
+        << statement << ": " << bad.status().ToString();
+    EXPECT_TRUE(client.Ping().ok()) << statement;
+  }
+  // Statements that once killed the server answer instead: INT64_MIN / -1
+  // wraps to INT64_MIN, and COUNT of a VARCHAR counts rows.
+  const auto wrapped =
+      client.ExecuteSql("SELECT (id - 9223372036854775807 - 2) / -1 FROM fact");
+  ASSERT_TRUE(wrapped.ok()) << wrapped.status().ToString();
+  ASSERT_EQ(wrapped.value().rows.size(), 1u);
+  EXPECT_EQ(wrapped.value().rows[0][0].AsInt(), INT64_MIN);
+  EXPECT_TRUE(client.Ping().ok());
+  const auto counted = client.ExecuteSql("SELECT COUNT(tag) FROM fact");
+  ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+  ASSERT_EQ(counted.value().rows.size(), 1u);
+  EXPECT_EQ(counted.value().rows[0][0].AsInt(), 1);
   EXPECT_TRUE(client.Ping().ok());
 }
 

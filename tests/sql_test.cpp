@@ -67,6 +67,26 @@ TEST(SqlLexerTest, DoubledQuoteEscapes) {
   EXPECT_EQ(tokens.value()[1].int_value, 7);
 }
 
+TEST(SqlLexerTest, OutOfRangeAndMalformedNumbersAreErrors) {
+  auto tokens = Tokenize("9223372036854775807");
+  ASSERT_TRUE(tokens.ok());
+  EXPECT_EQ(tokens.value()[0].int_value, INT64_MAX);
+
+  // Out of int64 range, by one.
+  auto status = Tokenize("WHERE id = 9223372036854775808").status();
+  EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(status.ToString().find("offset 11"), std::string::npos)
+      << status.ToString();
+  // Out of double range.
+  status = Tokenize("x = 1" + std::string(400, '0') + ".5").status();
+  EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(status.ToString().find("offset 4"), std::string::npos);
+  // More than one decimal point is one malformed number, not 1.2 then .3.
+  status = Tokenize("SELECT 1.2.3").status();
+  EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(status.ToString().find("offset 7"), std::string::npos);
+}
+
 TEST(SqlLexerTest, UnterminatedStringsAreErrors) {
   EXPECT_FALSE(Tokenize("'abc").ok());
   // The trailing '' is an escaped quote, so the literal never closes.
@@ -262,6 +282,55 @@ TEST_F(SqlTest, ErrorsAreInvalidArgumentNotCrashes) {
       continue;
     }
     EXPECT_FALSE(result.ok()) << stmt;
+  }
+
+  // Ill-typed expressions and out-of-range or malformed literals are the
+  // statement's error, reported with its offset, in every execution mode.
+  const Batch before = Run("SELECT * FROM items");
+  const char *ill_typed[] = {
+      "SELECT id FROM items WHERE name = 5",
+      "SELECT name + 1 FROM items",
+      "SELECT * FROM items WHERE name",
+      "SELECT * FROM items WHERE NOT name",
+      "SELECT -name FROM items",
+      "SELECT SUM(name) FROM items",
+      "SELECT MIN(name) FROM items",
+      "SELECT * FROM items WHERE id > 0 AND name",
+      "INSERT INTO items VALUES (1 + 'x', 1, 1.0, 'y')",
+      "UPDATE items SET id = 'x'",
+      "UPDATE items SET name = 5",
+      "SELECT * FROM items WHERE id = 9223372036854775808",
+      "SELECT * FROM items WHERE id = 1.2.3",
+  };
+  for (int64_t mode : {0, 1, 2}) {
+    ASSERT_TRUE(db_.settings().SetInt("execution_mode", mode).ok());
+    for (const char *stmt : ill_typed) {
+      auto result = ExecuteSql(&db_, stmt);
+      ASSERT_FALSE(result.ok()) << stmt;
+      EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument) << stmt;
+      EXPECT_NE(result.status().ToString().find("offset"), std::string::npos)
+          << stmt << ": " << result.status().ToString();
+    }
+  }
+  // The rejected UPDATEs and INSERT changed nothing.
+  const Batch after = Run("SELECT * FROM items");
+  ASSERT_EQ(after.rows.size(), before.rows.size());
+  for (size_t r = 0; r < before.rows.size(); r++) {
+    for (size_t c = 0; c < before.rows[r].size(); c++) {
+      EXPECT_EQ(after.rows[r][c].type(), before.rows[r][c].type());
+      EXPECT_EQ(after.rows[r][c].ToString(), before.rows[r][c].ToString());
+    }
+  }
+  EXPECT_EQ(Run("SELECT id FROM items WHERE id = 1").rows.size(), 1u);
+}
+
+TEST_F(SqlTest, CountOfVarcharCountsRowsInEveryMode) {
+  // The engine has no NULLs, so COUNT of any column is COUNT(*).
+  for (int64_t mode : {0, 1, 2}) {
+    ASSERT_TRUE(db_.settings().SetInt("execution_mode", mode).ok());
+    const Batch out = Run("SELECT COUNT(name) FROM items");
+    ASSERT_EQ(out.rows.size(), 1u) << "mode " << mode;
+    EXPECT_EQ(out.rows[0][0].AsInt(), 100) << "mode " << mode;
   }
 }
 
