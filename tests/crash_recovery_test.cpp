@@ -11,8 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <set>
+#include <thread>
 
 #include "common/fault_injector.h"
 #include "database.h"
@@ -355,6 +357,53 @@ TEST_F(CrashRecoveryTest, TornTailRejectedWithoutOptIn) {
   db.catalog().CreateTable("t", TestSchema());
   auto stats = ReplayLog(LogPath(), &db.catalog(), &db.txn_manager());
   EXPECT_FALSE(stats.ok());
+}
+
+// WAL file order must be commit order. The first UPDATE of a row stalls in
+// wal.append; a second UPDATE of the row, made once the first is visible,
+// commits after it, so replay must end on the second value. When the redo
+// bytes were appended after the commit's critical section, the stalled
+// commit's bytes landed last and replay reverted the acknowledged update.
+TEST_F(CrashRecoveryTest, ReplayKeepsCommitOrderWhenAnEarlierAppendStalls) {
+  const char *schema = "CREATE TABLE kv (id INTEGER, a INTEGER)";
+  auto read_a = [](Database *db) -> int64_t {
+    auto r = db->Execute("SELECT a FROM kv WHERE id = 1");
+    if (!r.ok() || r.value().batch.rows.size() != 1) return -1;
+    return r.value().batch.rows[0][0].AsInt();
+  };
+  {
+    Database::Options options;
+    options.wal_path = LogPath();
+    Database db(options);
+    ASSERT_TRUE(db.Execute(schema).ok());
+    ASSERT_TRUE(db.Execute("INSERT INTO kv VALUES (1, 0), (2, 0)").ok());
+    ASSERT_TRUE(db.log_manager().FlushNow().ok());
+
+    ASSERT_TRUE(
+        FaultInjector::Instance().ArmFromSpec("wal.append=delay20000,x1").ok());
+    std::thread first([&db] {
+      auto r = db.Execute("UPDATE kv SET a = 1 WHERE id = 1");
+      EXPECT_TRUE(r.ok() && r.value().status.ok());
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (read_a(&db) != 1 && std::chrono::steady_clock::now() < deadline) {
+    }
+    EXPECT_EQ(read_a(&db), 1);
+    auto second = db.Execute("UPDATE kv SET a = 2 WHERE id = 1");
+    EXPECT_TRUE(second.ok() && second.value().status.ok());
+    first.join();
+    FaultInjector::Instance().Reset();
+    EXPECT_EQ(db.log_manager().append_errors(), 0u);
+    EXPECT_EQ(read_a(&db), 2);
+    ASSERT_TRUE(db.log_manager().FlushNow().ok());
+    db.log_manager().Crash();
+  }
+  Database db;
+  ASSERT_TRUE(db.Execute(schema).ok());
+  auto stats = ReplayLog(LogPath(), &db.catalog(), &db.txn_manager());
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(read_a(&db), 2);
 }
 
 }  // namespace

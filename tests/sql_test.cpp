@@ -334,6 +334,27 @@ TEST_F(SqlTest, CountOfVarcharCountsRowsInEveryMode) {
   }
 }
 
+TEST_F(SqlTest, GroupByKeepsGroupsWhoseKeyHashesCollide) {
+  // HashColumns({1, 1}) == HashColumns({2, 769530012873201677}): the two
+  // keys share a hash but are different groups.
+  ASSERT_TRUE(ExecuteSql(&db_, "CREATE TABLE pairs (a INTEGER, b INTEGER)").ok());
+  ASSERT_TRUE(ExecuteSql(&db_, "INSERT INTO pairs VALUES (1, 1)").ok());
+  ASSERT_TRUE(
+      ExecuteSql(&db_, "INSERT INTO pairs VALUES (2, 769530012873201677)").ok());
+  for (int64_t mode : {0, 1, 2}) {
+    ASSERT_TRUE(db_.settings().SetInt("execution_mode", mode).ok());
+    const Batch out =
+        Run("SELECT a, b, COUNT(*) FROM pairs GROUP BY a, b ORDER BY a");
+    ASSERT_EQ(out.rows.size(), 2u) << "mode " << mode;
+    EXPECT_EQ(out.rows[0][0].AsInt(), 1) << "mode " << mode;
+    EXPECT_EQ(out.rows[0][1].AsInt(), 1) << "mode " << mode;
+    EXPECT_EQ(out.rows[0][2].AsInt(), 1) << "mode " << mode;
+    EXPECT_EQ(out.rows[1][0].AsInt(), 2) << "mode " << mode;
+    EXPECT_EQ(out.rows[1][1].AsInt(), 769530012873201677) << "mode " << mode;
+    EXPECT_EQ(out.rows[1][2].AsInt(), 1) << "mode " << mode;
+  }
+}
+
 TEST_F(SqlTest, DatabaseExecuteConvenienceOverload) {
   // Database::Execute(sql) is the same end-to-end path ExecuteSql takes
   // (it is what the network service's SQL_QUERY opcode calls).
