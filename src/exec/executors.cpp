@@ -1,6 +1,7 @@
 #include "exec/executors.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <unordered_map>
 
@@ -457,7 +458,26 @@ struct Accumulator {
 struct Group {
   Tuple keys;
   std::vector<Accumulator> accs;
+  /// Groups whose keys hash like this one's but differ from them.
+  std::vector<Group> collisions;
 };
+
+/// Whether `row` belongs to group `g`. Doubles compare by bits, as the key
+/// hash reads them, so NaN keys keep sharing one group.
+bool InGroup(const Group &g, const Tuple &row,
+             const std::vector<uint32_t> &group_by) {
+  for (size_t k = 0; k < group_by.size(); k++) {
+    const Value &a = g.keys[k];
+    const Value &b = row[group_by[k]];
+    const bool same =
+        a.type() == TypeId::kDouble && b.type() == TypeId::kDouble
+            ? std::bit_cast<uint64_t>(a.AsDouble()) ==
+                  std::bit_cast<uint64_t>(b.AsDouble())
+            : a == b;
+    if (!same) return false;
+  }
+  return true;
+}
 
 Status ExecAggregate(const AggregatePlan &plan, ExecutionContext *ctx,
                      Batch *out) {
@@ -466,6 +486,7 @@ Status ExecAggregate(const AggregatePlan &plan, ExecutionContext *ctx,
   if (!status.ok()) return status;
 
   std::unordered_map<uint64_t, Group> groups;
+  size_t num_groups = 0;
   const double n = static_cast<double>(input.NumRows());
 
   {
@@ -509,48 +530,62 @@ Status ExecAggregate(const AggregatePlan &plan, ExecutionContext *ctx,
                                     : hashes[r]);
       ws.hash_ops++;
       auto [it, inserted] = groups.try_emplace(h);
-      Group &g = it->second;
+      Group *g = &it->second;
+      if (!inserted && !InGroup(*g, row, plan.group_by)) {
+        // A hash collision: the row's group is another one chained here.
+        auto &chain = g->collisions;
+        auto found = std::find_if(chain.begin(), chain.end(), [&](const Group &c) {
+          return InGroup(c, row, plan.group_by);
+        });
+        inserted = found == chain.end();
+        g = inserted ? &chain.emplace_back() : &*found;
+      }
       if (inserted) {
-        g.keys.reserve(plan.group_by.size());
-        for (uint32_t c : plan.group_by) g.keys.push_back(row[c]);
-        g.accs.resize(plan.terms.size());
+        g->keys.reserve(plan.group_by.size());
+        for (uint32_t c : plan.group_by) g->keys.push_back(row[c]);
+        g->accs.resize(plan.terms.size());
         ws.alloc_bytes += 64 + plan.group_by.size() * 8 + plan.terms.size() * 32;
+        num_groups++;
       }
       for (size_t t = 0; t < plan.terms.size(); t++) {
         const auto &term = plan.terms[t];
         if (term.arg == nullptr) {
-          g.accs[t].AddCountOnly();
+          g->accs[t].AddCountOnly();
         } else if (ctx->mode() != ExecutionMode::kInterpret) {
-          g.accs[t].Add(term_vals[t][r]);
+          g->accs[t].Add(term_vals[t][r]);
         } else {
-          g.accs[t].Add(term.arg->Evaluate(row).AsDouble());
+          g->accs[t].Add(term.arg->Evaluate(row).AsDouble());
         }
       }
     }
     ws.tuples_processed += input.rows.size();
     scope.MutableFeatures()[exec_feature::kCardinality] =
-        static_cast<double>(groups.size());
+        static_cast<double>(num_groups);
     // The agg hash table grows with distinct keys (memory normalized by
     // cardinality, not input rows — Sec 4.3).
-    scope.SetMemoryBytes(static_cast<double>(groups.size()) *
+    scope.SetMemoryBytes(static_cast<double>(num_groups) *
                          (64.0 + plan.group_by.size() * 8.0 +
                           plan.terms.size() * 32.0));
   }
 
   {
     FeatureVector features = MakeExecFeatures(
-        static_cast<double>(groups.size()),
+        static_cast<double>(num_groups),
         static_cast<double>(plan.group_by.size() + plan.terms.size()),
         static_cast<double>(plan.group_by.size() * 8 + plan.terms.size() * 8),
-        static_cast<double>(groups.size()), 0.0, 1.0, ctx->ModeFeature());
+        static_cast<double>(num_groups), 0.0, 1.0, ctx->ModeFeature());
     OuTrackerScope scope(OuType::kAggProbe, std::move(features));
-    out->rows.reserve(groups.size());
-    for (auto &[h, g] : groups) {
+    out->rows.reserve(num_groups);
+    auto emit = [&](Group &g) {
       Tuple row = std::move(g.keys);
       for (size_t t = 0; t < plan.terms.size(); t++) {
         row.push_back(g.accs[t].Finish(plan.terms[t].func));
       }
       out->rows.push_back(std::move(row));
+    };
+    for (auto &[h, g] : groups) {
+      emit(g);
+      for (Group &c : g.collisions) emit(c);
     }
     WorkStats::Current().tuples_processed += out->rows.size();
   }
