@@ -36,8 +36,7 @@ Database::Database(Options options) : options_(std::move(options)) {
   // without a device): a promoted replica opens its log segment *after*
   // construction, and its commits must be logged from that point on.
   txn_manager_ = std::make_unique<TransactionManager>(log_manager_.get());
-  gc_ = std::make_unique<GarbageCollector>(&catalog_, txn_manager_.get(),
-                                           &settings_);
+  gc_ = std::make_unique<GarbageCollector>(txn_manager_.get(), &settings_);
   engine_ = std::make_unique<ExecutionEngine>(&catalog_, txn_manager_.get(),
                                               &settings_);
   estimator_ = std::make_unique<CardinalityEstimator>(&catalog_);

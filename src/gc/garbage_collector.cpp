@@ -4,6 +4,7 @@
 #include "metrics/work_stats.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
+#include "storage/table.h"
 
 namespace mb2 {
 
@@ -15,12 +16,27 @@ GcResult GarbageCollector::RunOnce() {
   // pass; amend them before the scope records.
   OuTrackerScope scope(OuType::kGarbageCollection, {0.0, 0.0, interval});
 
-  const uint64_t horizon = txn_manager_->OldestActiveTs();
-  for (const auto &name : catalog_->TableNames()) {
-    Table *table = catalog_->GetTable(name);
-    uint64_t bytes = 0;
-    result.versions_unlinked += table->GarbageCollect(horizon, &bytes);
-    result.bytes_reclaimed += bytes;
+  // This pass's work: the slots commits superseded since the last pass,
+  // then those an earlier pass carried because they were above its horizon.
+  uint64_t horizon = 0;
+  std::vector<SupersededSlot> work = txn_manager_->TakeSuperseded(&horizon);
+  {
+    std::lock_guard<std::mutex> lock(carried_mutex_);
+    work.insert(work.end(), carried_.begin(), carried_.end());
+    carried_.clear();
+  }
+  std::vector<SupersededSlot> later;
+  for (const SupersededSlot &s : work) {
+    if (s.commit_ts > horizon) {
+      later.push_back(s);
+      continue;
+    }
+    result.versions_unlinked +=
+        s.table->CollectSlot(s.slot, horizon, &result.bytes_reclaimed);
+  }
+  if (!later.empty()) {
+    std::lock_guard<std::mutex> lock(carried_mutex_);
+    carried_.insert(carried_.end(), later.begin(), later.end());
   }
   WorkStats::Current().bytes_read += result.bytes_reclaimed;
 

@@ -1,16 +1,19 @@
 #pragma once
 
 /// \file garbage_collector.h
-/// Epoch-batched version-chain garbage collection (the GC "batch" OU): on a
-/// knob-controlled interval, unlinks committed versions that no active
-/// transaction can still read.
+/// Commit-fed version-chain garbage collection (the GC "batch" OU). Every
+/// commit hands the transaction manager the slots whose versions it
+/// superseded; on a knob-controlled interval a pass takes them, unlinks the
+/// versions no active transaction can still read in each slot whose commit
+/// is at or below the horizon, and carries the rest to the next pass. A
+/// pass costs what it collects, not the size of the tables.
 
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
+#include <vector>
 
-#include "catalog/catalog.h"
 #include "catalog/settings.h"
 #include "common/macros.h"
 #include "txn/transaction_manager.h"
@@ -24,13 +27,13 @@ struct GcResult {
 
 class GarbageCollector {
  public:
-  GarbageCollector(Catalog *catalog, TransactionManager *txn_manager,
-                   SettingsManager *settings)
-      : catalog_(catalog), txn_manager_(txn_manager), settings_(settings) {}
+  GarbageCollector(TransactionManager *txn_manager, SettingsManager *settings)
+      : txn_manager_(txn_manager), settings_(settings) {}
   ~GarbageCollector() { StopBackground(); }
   MB2_DISALLOW_COPY_AND_MOVE(GarbageCollector);
 
-  /// One GC pass over every table; tracked as the GC OU.
+  /// One GC pass over the superseded slots; tracked as the GC OU. Safe to
+  /// run on several threads at once.
   GcResult RunOnce();
 
   void StartBackground();
@@ -39,9 +42,12 @@ class GarbageCollector {
  private:
   void Loop();
 
-  Catalog *catalog_;
   TransactionManager *txn_manager_;
   SettingsManager *settings_;
+
+  /// Slots whose commit was above an earlier pass's horizon.
+  std::mutex carried_mutex_;
+  std::vector<SupersededSlot> carried_;
 
   std::thread worker_;
   std::mutex mutex_;

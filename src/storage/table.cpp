@@ -249,38 +249,44 @@ uint64_t Table::VisibleCount(uint64_t read_ts) const {
   return count;
 }
 
+uint64_t Table::CollectSlot(SlotId slot, uint64_t oldest_active_ts,
+                            uint64_t *bytes_reclaimed) {
+  WorkStats::Current().tuples_processed++;
+  TupleSlot *s = GetSlot(slot);
+  SpinLatch::ScopedLock guard(&s->latch);
+  // Keep the newest version that is visible at oldest_active_ts; anything
+  // strictly older can never be read again.
+  VersionNode *keep_tail = s->head.load(std::memory_order_acquire);
+  while (keep_tail != nullptr) {
+    const uint64_t begin = keep_tail->begin_ts.load(std::memory_order_acquire);
+    const uint64_t owner = keep_tail->owner.load(std::memory_order_acquire);
+    const uint64_t end = keep_tail->end_ts.load(std::memory_order_acquire);
+    if (owner == kNoOwner && begin != kUncommittedTs &&
+        begin <= oldest_active_ts && end > oldest_active_ts) {
+      break;  // keep_tail is the last version any live reader can need
+    }
+    keep_tail = keep_tail->next;
+  }
+  if (keep_tail == nullptr) return 0;
+  uint64_t unlinked = 0;
+  VersionNode *garbage = keep_tail->next;
+  keep_tail->next = nullptr;
+  while (garbage != nullptr) {
+    VersionNode *next = garbage->next;
+    *bytes_reclaimed += sizeof(VersionNode) + TupleSize(garbage->data);
+    delete garbage;
+    unlinked++;
+    garbage = next;
+  }
+  return unlinked;
+}
+
 uint64_t Table::GarbageCollect(uint64_t oldest_active_ts,
                                uint64_t *bytes_reclaimed) {
   uint64_t unlinked = 0;
   const SlotId n = NumSlots();
   for (SlotId i = 0; i < n; i++) {
-    TupleSlot *s = GetSlot(i);
-    SpinLatch::ScopedLock guard(&s->latch);
-    VersionNode *node = s->head.load(std::memory_order_acquire);
-    if (node == nullptr) continue;
-    // Keep the newest version that is visible at oldest_active_ts; anything
-    // strictly older can never be read again.
-    VersionNode *keep_tail = node;
-    while (keep_tail != nullptr) {
-      const uint64_t begin = keep_tail->begin_ts.load(std::memory_order_acquire);
-      const uint64_t owner = keep_tail->owner.load(std::memory_order_acquire);
-      const uint64_t end = keep_tail->end_ts.load(std::memory_order_acquire);
-      if (owner == kNoOwner && begin != kUncommittedTs &&
-          begin <= oldest_active_ts && end > oldest_active_ts) {
-        break;  // keep_tail is the last version any live reader can need
-      }
-      keep_tail = keep_tail->next;
-    }
-    if (keep_tail == nullptr) continue;
-    VersionNode *garbage = keep_tail->next;
-    keep_tail->next = nullptr;
-    while (garbage != nullptr) {
-      VersionNode *next = garbage->next;
-      *bytes_reclaimed += sizeof(VersionNode) + TupleSize(garbage->data);
-      delete garbage;
-      unlinked++;
-      garbage = next;
-    }
+    unlinked += CollectSlot(i, oldest_active_ts, bytes_reclaimed);
   }
   return unlinked;
 }

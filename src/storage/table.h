@@ -94,10 +94,18 @@ class Table {
     return n > 0 ? static_cast<uint64_t>(n) : 0;
   }
 
-  /// Garbage collection: unlink committed versions no longer visible to any
-  /// transaction at or after `oldest_active_ts`. Returns versions unlinked
-  /// and adds reclaimed bytes to *bytes_reclaimed. (Disk tables reclaim the
-  /// chain nodes only; heap page space is append-only until restart.)
+  /// Garbage collection of one slot: unlinks the committed versions that no
+  /// transaction at or after `oldest_active_ts` can read, keeping the newest
+  /// one visible at it. Returns versions unlinked, adds reclaimed bytes to
+  /// *bytes_reclaimed and counts the slot in WorkStats::tuples_processed. A
+  /// second visit at the same horizon unlinks nothing. (Disk tables reclaim
+  /// the chain nodes only; heap page space is append-only until restart.)
+  uint64_t CollectSlot(SlotId slot, uint64_t oldest_active_ts,
+                       uint64_t *bytes_reclaimed);
+
+  /// CollectSlot over every slot. The GarbageCollector visits only the
+  /// slots commits superseded; this full sweep is the reference its tests
+  /// compare against.
   uint64_t GarbageCollect(uint64_t oldest_active_ts, uint64_t *bytes_reclaimed);
 
   /// Direct head access for scans (read-only). Safe concurrent with

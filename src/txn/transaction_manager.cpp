@@ -25,12 +25,15 @@ std::unique_ptr<Transaction> TransactionManager::Begin(bool read_only) {
   }
   OuTrackerScope scope(OuType::kTxnBegin, {rate, running});
 
-  const uint64_t read_ts = ts_counter_.fetch_add(1, std::memory_order_acq_rel);
-  const uint64_t txn_id = read_ts;
+  // Taking the timestamp and registering it in one section keeps the GC
+  // horizon from passing a snapshot that is about to be read at.
+  uint64_t read_ts;
   {
     std::lock_guard<std::mutex> lock(active_mutex_);
+    read_ts = ts_counter_++;
     active_read_ts_.insert(read_ts);
   }
+  const uint64_t txn_id = read_ts;
   {
     std::lock_guard<std::mutex> lock(rate_mutex_);
     recent_begin_us_.push_back(NowMicros());
@@ -61,37 +64,35 @@ Status TransactionManager::Commit(Transaction *txn) {
     std::lock_guard<std::mutex> lock(active_mutex_);
     running = static_cast<double>(active_read_ts_.size());
   }
+  // The redo records are encoded (and the wal.append fault point retried)
+  // before the critical section. A failed encode, possible only under
+  // injected faults after retries, does NOT unwind the commit: it is
+  // committed in memory but not durable, append_errors() records the gap,
+  // and Ok is returned so callers don't retry (and double-apply) it.
+  LogManager::RedoBatch redo;
+  if (log_manager_ != nullptr) {
+    log_manager_->Encode(txn->redo_log(), txn->txn_id(), &redo);
+  }
   {
     OuTrackerScope scope(OuType::kTxnCommit, {rate, running});
-
-    const uint64_t commit_ts =
-        ts_counter_.fetch_add(1, std::memory_order_acq_rel);
+    std::lock_guard<std::mutex> lock(active_mutex_);
+    const uint64_t commit_ts = ts_counter_++;
     txn->set_commit_ts(commit_ts);
 
-    // Stamp versions: install begin on new versions, end on superseded ones.
+    // Stamp versions: install begin on new versions, end on superseded ones,
+    // whose slots go to the GC.
     for (const auto &w : txn->write_set()) {
       w.version->begin_ts.store(commit_ts, std::memory_order_release);
       w.version->owner.store(kNoOwner, std::memory_order_release);
       if (w.supersedes != nullptr) {
         w.supersedes->end_ts.store(commit_ts, std::memory_order_release);
+        superseded_.push_back({w.table, w.slot, commit_ts});
       }
     }
-
-    {
-      std::lock_guard<std::mutex> lock(active_mutex_);
-      active_read_ts_.erase(active_read_ts_.find(txn->read_ts()));
-    }
+    if (redo.encoded()) log_manager_->Append(&redo);
+    active_read_ts_.erase(active_read_ts_.find(txn->read_ts()));
   }
-
-  // WAL serialization is its own (batch) OU inside the log manager. A
-  // serialize failure (possible only under injected faults, after retries)
-  // does NOT unwind the commit — the versions are already stamped and
-  // visible; the transaction is committed in memory but not durable. The log
-  // manager's append_errors() counter records the durability gap, and Ok is
-  // returned so callers don't retry (and double-apply) a committed txn.
-  if (log_manager_ != nullptr && !txn->redo_log().empty()) {
-    log_manager_->Serialize(txn->redo_log(), txn->txn_id());
-  }
+  if (redo.encoded()) log_manager_->Sync(&redo);
   return Status::Ok();
 }
 
@@ -110,10 +111,20 @@ void TransactionManager::Abort(Transaction *txn) {
 
 uint64_t TransactionManager::OldestActiveTs() {
   std::lock_guard<std::mutex> lock(active_mutex_);
-  if (active_read_ts_.empty()) {
-    return ts_counter_.load(std::memory_order_acquire);
-  }
-  return *active_read_ts_.begin();
+  return OldestActiveTsLocked();
+}
+
+uint64_t TransactionManager::OldestActiveTsLocked() const {
+  return active_read_ts_.empty() ? ts_counter_ : *active_read_ts_.begin();
+}
+
+std::vector<SupersededSlot> TransactionManager::TakeSuperseded(
+    uint64_t *horizon) {
+  std::vector<SupersededSlot> out;
+  std::lock_guard<std::mutex> lock(active_mutex_);
+  out.swap(superseded_);
+  *horizon = OldestActiveTsLocked();
+  return out;
 }
 
 uint64_t TransactionManager::NumActive() {

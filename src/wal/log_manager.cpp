@@ -58,10 +58,10 @@ LogManager::~LogManager() {
   }
 }
 
-Status LogManager::Serialize(const std::vector<RedoRecord> &records,
-                             uint64_t txn_id) {
+Status LogManager::Encode(const std::vector<RedoRecord> &records,
+                          uint64_t txn_id, RedoBatch *batch) {
   if (file_ == nullptr || records.empty()) return Status::Ok();
-  ObsSpan span("wal.serialize");
+  batch->span_.emplace("wal.serialize");
   static Counter &appends =
       MetricsRegistry::Instance().GetCounter("mb2_wal_appends_total");
   appends.Add();
@@ -78,17 +78,23 @@ Status LogManager::Serialize(const std::vector<RedoRecord> &records,
   const double interval =
       settings_->GetDouble("log_flush_interval_us");
 
-  // Features: num_records, num_bytes, num_buffers(filled by this call),
-  // interval. Buffer count amended after serialization.
-  OuTrackerScope scope(OuType::kLogSerialize,
-                       {static_cast<double>(records.size()),
-                        static_cast<double>(total_bytes), 0.0, interval});
+  // Features: num_records, num_bytes, num_buffers(filled by this batch),
+  // interval. Buffer count amended by Append.
+  batch->scope_.emplace(OuType::kLogSerialize,
+                        FeatureVector{static_cast<double>(records.size()),
+                                      static_cast<double>(total_bytes), 0.0,
+                                      interval});
 
-  std::vector<uint8_t> encoded;
-  encoded.reserve(total_bytes);
-  for (const auto &r : records) SerializeRedoRecord(r, txn_id, &encoded);
-  WorkStats::Current().bytes_written += encoded.size();
+  batch->bytes_.reserve(total_bytes);
+  for (const auto &r : records) SerializeRedoRecord(r, txn_id, &batch->bytes_);
+  batch->num_records_ = records.size();
+  WorkStats::Current().bytes_written += batch->bytes_.size();
+  return Status::Ok();
+}
 
+void LogManager::Append(RedoBatch *batch) {
+  if (!batch->encoded()) return;
+  const std::vector<uint8_t> &encoded = batch->bytes_;
   uint32_t buffers_sealed = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -103,21 +109,32 @@ Status LogManager::Serialize(const std::vector<RedoRecord> &records,
       active_.Append(encoded.data() + offset, chunk);
       offset += chunk;
     }
-    active_.num_records += static_cast<uint32_t>(records.size());
+    active_.num_records += static_cast<uint32_t>(batch->num_records_);
   }
-  total_records_.fetch_add(records.size(), std::memory_order_relaxed);
-  scope.MutableFeatures()[2] = static_cast<double>(buffers_sealed);
+  total_records_.fetch_add(batch->num_records_, std::memory_order_relaxed);
+  batch->scope_->MutableFeatures()[2] = static_cast<double>(buffers_sealed);
+}
 
+Status LogManager::Sync(RedoBatch *batch) {
   // Synchronous-commit mode: the commit's bytes reach the device (through
   // fsync, so past the page cache) before the commit returns, so "committed"
   // implies "durable" — the invariant the replication failover guarantee
   // (no committed transaction lost) rests on. A failed flush re-queues the
   // buffers; surfacing the error lets callers count the commit as
   // not-yet-durable.
-  if (settings_->GetInt("wal_sync_commit") != 0) {
+  if (batch->encoded() && settings_->GetInt("wal_sync_commit") != 0) {
     return FlushFilled(/*sync_device=*/true);
   }
   return Status::Ok();
+}
+
+Status LogManager::Serialize(const std::vector<RedoRecord> &records,
+                             uint64_t txn_id) {
+  RedoBatch batch;
+  const Status status = Encode(records, txn_id, &batch);
+  if (!status.ok()) return status;
+  Append(&batch);
+  return Sync(&batch);
 }
 
 void LogManager::SealActiveLocked() {

@@ -17,6 +17,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +26,8 @@
 #include "common/macros.h"
 #include "common/retry.h"
 #include "common/status.h"
+#include "metrics/metrics_collector.h"
+#include "obs/trace.h"
 #include "wal/log_record.h"
 
 namespace mb2 {
@@ -36,10 +39,43 @@ class LogManager {
   ~LogManager();
   MB2_DISALLOW_COPY_AND_MOVE(LogManager);
 
-  /// Serializes a transaction's redo records (called at commit). Tracked as
-  /// the LOG_SERIALIZE OU. Errors only after the retry budget is exhausted;
-  /// the records are then NOT buffered (the in-memory commit stands but is
-  /// not durable — callers decide whether that is fatal).
+  /// One transaction's redo records on their way into the log, in three
+  /// steps around the committer's critical section: Encode before it (the
+  /// `wal.append` fault point and its retries may stall there), Append
+  /// inside it, so buffer order and so file order is commit order, and Sync
+  /// after it. The `wal.serialize` span and the LOG_SERIALIZE OU run from
+  /// Encode until the batch is destroyed.
+  class RedoBatch {
+   public:
+    RedoBatch() = default;
+    MB2_DISALLOW_COPY_AND_MOVE(RedoBatch);
+
+    /// True once Encode succeeded; Append and Sync do nothing before that.
+    bool encoded() const { return scope_.has_value(); }
+
+   private:
+    friend class LogManager;
+    std::optional<ObsSpan> span_;
+    std::optional<OuTrackerScope> scope_;
+    std::vector<uint8_t> bytes_;
+    size_t num_records_ = 0;
+  };
+
+  /// Encodes `records` into `batch`. Errors only after the retry budget is
+  /// exhausted; the records are then never buffered (the in-memory commit
+  /// stands but is not durable — callers decide whether that is fatal).
+  Status Encode(const std::vector<RedoRecord> &records, uint64_t txn_id,
+                RedoBatch *batch);
+  /// Appends an encoded batch to the log buffer. Batches reach the device in
+  /// the order they are appended; the transaction manager appends inside
+  /// its commit section (lock order: its active_mutex_ before mutex_).
+  void Append(RedoBatch *batch);
+  /// Synchronous-commit mode (`wal_sync_commit`): flushes and fsyncs the
+  /// appended bytes. Otherwise a no-op.
+  Status Sync(RedoBatch *batch);
+
+  /// Encode + Append + Sync of one transaction's redo records, for callers
+  /// without a commit section of their own.
   Status Serialize(const std::vector<RedoRecord> &records, uint64_t txn_id);
 
   /// Starts/stops the background flusher thread.
@@ -75,13 +111,13 @@ class LogManager {
   uint64_t total_bytes_flushed() const {
     return total_flushed_.load(std::memory_order_relaxed);
   }
-  /// Redo records buffered by Serialize since startup (flushed or not);
+  /// Redo records appended since startup (flushed or not);
   /// with `wal_sync_commit` on this equals the durable record count, which
   /// is what replica-lag-in-records is measured against.
   uint64_t total_records_serialized() const {
     return total_records_.load(std::memory_order_relaxed);
   }
-  /// Serialize calls that surfaced an error after retries.
+  /// Encode calls that surfaced an error after retries.
   uint64_t append_errors() const {
     return append_errors_.load(std::memory_order_relaxed);
   }
