@@ -22,6 +22,13 @@ const char *TypeName(TypeId type) {
   return "UNKNOWN";
 }
 
+bool CoerceToType(TypeId want, Value *v) {
+  if (want == TypeId::kDouble && v->type() == TypeId::kInteger) {
+    *v = Value::Double(static_cast<double>(v->AsInt()));
+  }
+  return v->type() == want;
+}
+
 uint32_t Value::StorageSize() const {
   if (type_ == TypeId::kVarchar) return static_cast<uint32_t>(str_.size());
   return 8;

@@ -78,6 +78,11 @@ class Value {
 
 using Tuple = std::vector<Value>;
 
+/// Fits `v` to a column of type `want`, the one rule INSERT's VALUES and
+/// UPDATE's SET values share: an integer becomes a double for a DOUBLE
+/// column. Returns false, leaving `v` as it was, on any other mismatch.
+bool CoerceToType(TypeId want, Value *v);
+
 /// Total storage bytes of a tuple.
 uint32_t TupleSize(const Tuple &tuple);
 

@@ -702,15 +702,10 @@ class Parser {
       if (row.size() != table->schema().NumColumns()) {
         return Error("VALUES arity does not match the table");
       }
-      // Coerce numeric literals to the column type.
       for (uint32_t c = 0; c < row.size(); c++) {
-        const TypeId want = table->schema().GetColumn(c).type;
-        if (want == TypeId::kDouble && row[c].type() == TypeId::kInteger) {
-          row[c] = Value::Double(static_cast<double>(row[c].AsInt()));
-        }
-        if (row[c].type() != want) {
-          return Error("type mismatch in VALUES for column " +
-                       table->schema().GetColumn(c).name);
+        const Column &column = table->schema().GetColumn(c);
+        if (!CoerceToType(column.type, &row[c])) {
+          return Error("type mismatch in VALUES for column " + column.name);
         }
       }
       insert->rows.push_back(std::move(row));

@@ -355,6 +355,40 @@ TEST_F(SqlTest, GroupByKeepsGroupsWhoseKeyHashesCollide) {
   }
 }
 
+TEST_F(SqlTest, UpdateFitsValuesToTheColumnType) {
+  // INSERT and UPDATE share one rule: an integer becomes a double for a
+  // DOUBLE column, any other mismatch is InvalidArgument. Before, UPDATE
+  // stored INTEGER 5 in a DOUBLE column, which GROUP BY then split from
+  // DOUBLE 5.0, and stored DOUBLE 2.5 in an INTEGER column.
+  for (int64_t mode : {0, 1, 2}) {
+    ASSERT_TRUE(db_.settings().SetInt("execution_mode", mode).ok());
+    const std::string t = "fit" + std::to_string(mode);
+    ASSERT_TRUE(
+        ExecuteSql(&db_, "CREATE TABLE " + t + " (id INTEGER, d DOUBLE)").ok());
+    Run("INSERT INTO " + t + " VALUES (1, 5), (2, 7)");
+    Run("UPDATE " + t + " SET d = 5 WHERE id = 2");
+
+    const Batch groups = Run("SELECT d, COUNT(*) FROM " + t + " GROUP BY d");
+    ASSERT_EQ(groups.rows.size(), 1u) << "mode " << mode;
+    ASSERT_EQ(groups.rows[0][0].type(), TypeId::kDouble) << "mode " << mode;
+    EXPECT_EQ(groups.rows[0][0].AsDouble(), 5.0) << "mode " << mode;
+    EXPECT_EQ(groups.rows[0][1].AsInt(), 2) << "mode " << mode;
+
+    auto bad = ExecuteSql(&db_, "UPDATE " + t + " SET id = 2.5 WHERE id = 2");
+    const Status status = bad.ok() ? bad.value().status : bad.status();
+    EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument) << "mode " << mode;
+
+    const Batch rows = Run("SELECT id, d FROM " + t + " ORDER BY id");
+    ASSERT_EQ(rows.rows.size(), 2u) << "mode " << mode;
+    for (const Tuple &row : rows.rows) {
+      ASSERT_EQ(row[0].type(), TypeId::kInteger) << "mode " << mode;
+      ASSERT_EQ(row[1].type(), TypeId::kDouble) << "mode " << mode;
+    }
+    EXPECT_EQ(rows.rows[1][0].AsInt(), 2) << "mode " << mode;
+    EXPECT_EQ(rows.rows[1][1].AsDouble(), 5.0) << "mode " << mode;
+  }
+}
+
 TEST_F(SqlTest, DatabaseExecuteConvenienceOverload) {
   // Database::Execute(sql) is the same end-to-end path ExecuteSql takes
   // (it is what the network service's SQL_QUERY opcode calls).
