@@ -288,7 +288,8 @@ int main(int argc, char **argv) {
 
   {
     // One traced query: the span ring holds the whole tree (engine root,
-    // txn begin/commit, per-executor pipeline spans, model-bot inference).
+    // one span per OU of the query from txn begin to commit), then the
+    // model-bot inference as a root of its own.
     Section trace("Span trace of one TPC-H query");
     TraceSink::Instance().Clear();
     obs::SetTracingEnabled(true);

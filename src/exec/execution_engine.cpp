@@ -10,8 +10,8 @@ namespace mb2 {
 
 QueryResult ExecutionEngine::ExecuteQuery(const PlanNode &plan) {
   QueryResult result;
-  // Root span of the query's trace tree: txn.begin, the executor pipeline,
-  // txn.commit, and wal.serialize all open while this span is live.
+  // Root span of the query's trace tree: the spans of its OUs (txn.begin,
+  // each execution OU, wal.serialize around txn.commit) open below it.
   ObsSpan span("engine.execute_query");
   const auto start = std::chrono::steady_clock::now();
 

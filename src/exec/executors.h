@@ -4,7 +4,7 @@
 /// Operator-at-a-time executors, one per plan node type. Each operator's
 /// work phase is wrapped in an OuTrackerScope so training mode yields one
 /// clean, non-overlapping OU record per operator instance (two for
-/// build/probe operators).
+/// build/probe operators), and a traced query one span per OU.
 
 #include "common/status.h"
 #include "exec/execution_context.h"

@@ -3,14 +3,12 @@
 #include "metrics/metrics_collector.h"
 #include "metrics/work_stats.h"
 #include "obs/metrics_registry.h"
-#include "obs/trace.h"
 #include "storage/table.h"
 
 namespace mb2 {
 
 GcResult GarbageCollector::RunOnce() {
   GcResult result;
-  ObsSpan span("gc.pass");
   const double interval = settings_->GetDouble("gc_interval_us");
   // Features (versions unlinked, bytes reclaimed) are only known after the
   // pass; amend them before the scope records.

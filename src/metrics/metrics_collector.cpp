@@ -140,18 +140,22 @@ OuTrackerScope::OuTrackerScope(OuType ou, FeatureVector features)
       // tracker anyway so the observed labels can be scored against the
       // deployed model. Training mode records everything already.
       drift_sample_(!record_ && DriftMonitor::Instance().ShouldSample()),
-      active_(record_ || drift_sample_ ||
-              SimulatedHardware::GetCpuFreqGhz() > 0.0) {
+      span_(GetOuDescriptor(ou).span_name) {
   // The tracker also runs (without recording) whenever the CPU-frequency
   // simulation is on: the slowdown is injected at Stop(), and it must apply
   // to production-style runs too, not just training mode.
+  const bool measure = record_ || drift_sample_ ||
+                       SimulatedHardware::GetCpuFreqGhz() > 0.0;
+  if (!measure) return;
   if (record_) MetricsManager::Instance().ScopeOpened();
-  if (active_) tracker_.Start();
+  tracker_.emplace();
+  tracker_->Start();
 }
 
 OuTrackerScope::~OuTrackerScope() {
-  if (!active_) return;
-  const Labels labels = tracker_.Stop();
+  if (!tracker_.has_value()) return;  // span_ closes on its own clock
+  const Labels labels = tracker_->Stop();
+  span_.Close(labels[kLabelElapsedUs]);
   if (record_) {
     // Unchecked: the decision to record was latched at scope open. Going
     // through the Enabled() gate again would lose this record if collection

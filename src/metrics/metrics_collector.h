@@ -17,12 +17,14 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "common/latch.h"
 #include "common/macros.h"
 #include "metrics/resource_tracker.h"
 #include "modeling/operating_unit.h"
+#include "obs/trace.h"
 
 namespace mb2 {
 
@@ -112,8 +114,14 @@ class MetricsManager {
   static thread_local bool tls_collecting_;
 };
 
-/// RAII scope that tracks one OU invocation and records it. Features may be
-/// finalized (or amended) before destruction via MutableFeatures(), since
+/// RAII scope at one OU boundary, the engine's only instrument there. It
+/// opens the OU's trace span (named in the OU descriptor table) when
+/// tracing is on, and runs a ResourceTracker when something will use the
+/// measurement: an OU record (collection on), a drift sample, or the
+/// CPU-frequency simulation. When the tracker runs, the span's duration is
+/// the OU's elapsed_us label, from the same clock reads. With every switch
+/// off the scope reads each switch once and does nothing else. Features may
+/// be finalized (or amended) before destruction via MutableFeatures(), since
 /// some features (e.g. true output cardinality during training) are only
 /// known after the work runs.
 class OuTrackerScope {
@@ -124,7 +132,7 @@ class OuTrackerScope {
 
   FeatureVector &MutableFeatures() { return features_; }
   void SetMemoryBytes(double bytes) {
-    if (active_) tracker_.SetMemoryBytes(bytes);
+    if (tracker_.has_value()) tracker_->SetMemoryBytes(bytes);
   }
 
   /// Whether this scope will emit an OU record at exit (i.e. collection was
@@ -134,10 +142,12 @@ class OuTrackerScope {
  private:
   OuType ou_;
   FeatureVector features_;
-  ResourceTracker tracker_;
   bool record_;        ///< training mode: emit an OU record at scope exit
   bool drift_sample_;  ///< production mode: elected as a model-drift sample
-  bool active_;        ///< tracker runs (recording, drift sample, or freq sim)
+  ObsSpan span_;       ///< opens before the tracker starts, closes after
+  /// Built only when it will measure: on a host with a PMU its constructor
+  /// opens a perf-counter group.
+  std::optional<ResourceTracker> tracker_;
 };
 
 }  // namespace mb2

@@ -15,54 +15,55 @@ std::vector<std::string> ExecFeatureNames() {
 
 std::array<OuDescriptor, kNumOuTypes> BuildDescriptors() {
   std::array<OuDescriptor, kNumOuTypes> d{};
-  auto set = [&](OuType t, const char *name, OuClass cls,
-                 std::vector<std::string> feats, OuComplexity cx,
+  auto set = [&](OuType t, const char *name, const char *span_name,
+                 OuClass cls, std::vector<std::string> feats, OuComplexity cx,
                  int32_t n_feat, int32_t mem_feat = -1) {
-    d[static_cast<size_t>(t)] =
-        OuDescriptor{t, name, cls, std::move(feats), cx, n_feat, mem_feat};
+    d[static_cast<size_t>(t)] = OuDescriptor{
+        t, name, span_name, cls, std::move(feats), cx, n_feat, mem_feat};
   };
 
-  set(OuType::kSeqScan, "SEQ_SCAN", OuClass::kSingular, ExecFeatureNames(),
-      OuComplexity::kLinear, 0);
-  set(OuType::kIdxScan, "IDX_SCAN", OuClass::kSingular, ExecFeatureNames(),
-      OuComplexity::kLinear, 0);
-  set(OuType::kHashJoinBuild, "HASHJOIN_BUILD", OuClass::kSingular,
+  set(OuType::kSeqScan, "SEQ_SCAN", "exec.seq_scan", OuClass::kSingular,
       ExecFeatureNames(), OuComplexity::kLinear, 0);
-  set(OuType::kHashJoinProbe, "HASHJOIN_PROBE", OuClass::kSingular,
+  set(OuType::kIdxScan, "IDX_SCAN", "exec.idx_scan", OuClass::kSingular,
       ExecFeatureNames(), OuComplexity::kLinear, 0);
-  set(OuType::kAggBuild, "AGG_BUILD", OuClass::kSingular, ExecFeatureNames(),
-      OuComplexity::kLinear, 0, /*mem_feat=*/3);
-  set(OuType::kAggProbe, "AGG_PROBE", OuClass::kSingular, ExecFeatureNames(),
+  set(OuType::kHashJoinBuild, "HASHJOIN_BUILD", "exec.hashjoin_build",
+      OuClass::kSingular, ExecFeatureNames(), OuComplexity::kLinear, 0);
+  set(OuType::kHashJoinProbe, "HASHJOIN_PROBE", "exec.hashjoin_probe",
+      OuClass::kSingular, ExecFeatureNames(), OuComplexity::kLinear, 0);
+  set(OuType::kAggBuild, "AGG_BUILD", "exec.agg_build", OuClass::kSingular,
+      ExecFeatureNames(), OuComplexity::kLinear, 0, /*mem_feat=*/3);
+  set(OuType::kAggProbe, "AGG_PROBE", "exec.agg_probe", OuClass::kSingular,
+      ExecFeatureNames(), OuComplexity::kLinear, 0);
+  set(OuType::kSortBuild, "SORT_BUILD", "exec.sort_build", OuClass::kSingular,
+      ExecFeatureNames(), OuComplexity::kNLogN, 0);
+  set(OuType::kSortIterate, "SORT_ITER", "exec.sort_iter", OuClass::kSingular,
+      ExecFeatureNames(), OuComplexity::kLinear, 0);
+  set(OuType::kInsert, "INSERT", "exec.insert", OuClass::kSingular,
+      ExecFeatureNames(), OuComplexity::kLinear, 0);
+  set(OuType::kUpdate, "UPDATE", "exec.update", OuClass::kSingular,
+      ExecFeatureNames(), OuComplexity::kLinear, 0);
+  set(OuType::kDelete, "DELETE", "exec.delete", OuClass::kSingular,
+      ExecFeatureNames(), OuComplexity::kLinear, 0);
+  set(OuType::kArithmetic, "ARITHMETICS", "exec.arithmetics",
+      OuClass::kSingular, {"num_rows", "op_complexity", "exec_mode"},
       OuComplexity::kLinear, 0);
-  set(OuType::kSortBuild, "SORT_BUILD", OuClass::kSingular, ExecFeatureNames(),
-      OuComplexity::kNLogN, 0);
-  set(OuType::kSortIterate, "SORT_ITER", OuClass::kSingular, ExecFeatureNames(),
-      OuComplexity::kLinear, 0);
-  set(OuType::kInsert, "INSERT", OuClass::kSingular, ExecFeatureNames(),
-      OuComplexity::kLinear, 0);
-  set(OuType::kUpdate, "UPDATE", OuClass::kSingular, ExecFeatureNames(),
-      OuComplexity::kLinear, 0);
-  set(OuType::kDelete, "DELETE", OuClass::kSingular, ExecFeatureNames(),
-      OuComplexity::kLinear, 0);
-  set(OuType::kArithmetic, "ARITHMETICS", OuClass::kSingular,
-      {"num_rows", "op_complexity", "exec_mode"}, OuComplexity::kLinear, 0);
-  set(OuType::kOutput, "OUTPUT", OuClass::kSingular, ExecFeatureNames(),
-      OuComplexity::kLinear, 0);
-  set(OuType::kGarbageCollection, "GC", OuClass::kBatch,
+  set(OuType::kOutput, "OUTPUT", "exec.output", OuClass::kSingular,
+      ExecFeatureNames(), OuComplexity::kLinear, 0);
+  set(OuType::kGarbageCollection, "GC", "gc.pass", OuClass::kBatch,
       {"versions_unlinked", "bytes_reclaimed", "gc_interval_us"},
       OuComplexity::kLinear, 0);
-  set(OuType::kIndexBuild, "INDEX_BUILD", OuClass::kContending,
+  set(OuType::kIndexBuild, "INDEX_BUILD", "index.build", OuClass::kContending,
       {"num_rows", "num_keys", "key_size", "cardinality", "num_threads"},
       OuComplexity::kNLogN, 0);
-  set(OuType::kLogSerialize, "LOG_SERIALIZE", OuClass::kBatch,
+  set(OuType::kLogSerialize, "LOG_SERIALIZE", "wal.serialize", OuClass::kBatch,
       {"num_records", "num_bytes", "num_buffers", "interval_us"},
       OuComplexity::kLinear, 0);
-  set(OuType::kLogFlush, "LOG_FLUSH", OuClass::kBatch,
+  set(OuType::kLogFlush, "LOG_FLUSH", "wal.flush", OuClass::kBatch,
       {"num_bytes", "num_buffers", "flush_interval_us"}, OuComplexity::kLinear,
       1);
-  set(OuType::kTxnBegin, "TXN_BEGIN", OuClass::kContending,
+  set(OuType::kTxnBegin, "TXN_BEGIN", "txn.begin", OuClass::kContending,
       {"arrival_rate", "running_txns"}, OuComplexity::kConstant, -1);
-  set(OuType::kTxnCommit, "TXN_COMMIT", OuClass::kContending,
+  set(OuType::kTxnCommit, "TXN_COMMIT", "txn.commit", OuClass::kContending,
       {"arrival_rate", "running_txns"}, OuComplexity::kConstant, -1);
   // Block I/O over the disk-backed heap. PAGE_READ's cost is bimodal per
   // page (buffer-pool hit vs miss), so the estimated miss count is its own
@@ -70,12 +71,12 @@ std::array<OuDescriptor, kNumOuTypes> BuildDescriptors() {
   // miss_extra*est_misses. Training measures actual misses; serving
   // estimates them from table pages vs pool capacity (the cardinality
   // train-on-actuals/serve-on-estimates idiom).
-  set(OuType::kPageRead, "PAGE_READ", OuClass::kBatch,
+  set(OuType::kPageRead, "PAGE_READ", "storage.page_read", OuClass::kBatch,
       {"num_pages", "est_misses", "num_rows", "pool_pages"},
       OuComplexity::kLinear, 0);
-  set(OuType::kPageWrite, "PAGE_WRITE", OuClass::kBatch,
+  set(OuType::kPageWrite, "PAGE_WRITE", "storage.page_write", OuClass::kBatch,
       {"num_pages", "num_bytes", "pool_pages"}, OuComplexity::kLinear, 0);
-  set(OuType::kPageEvict, "PAGE_EVICT", OuClass::kBatch,
+  set(OuType::kPageEvict, "PAGE_EVICT", "storage.page_evict", OuClass::kBatch,
       {"num_pages", "pool_pages"}, OuComplexity::kLinear, 0);
   return d;
 }

@@ -60,11 +60,14 @@ enum class OuClass : uint8_t { kSingular, kBatch, kContending };
 /// normalization (Sec 4.3).
 enum class OuComplexity : uint8_t { kConstant, kLinear, kNLogN };
 
-/// Static description of one OU: its name, class, input-feature names, and
-/// the normalization rules for its labels.
+/// Static description of one OU: its name, trace-span name, class,
+/// input-feature names, and the normalization rules for its labels.
 struct OuDescriptor {
   OuType type;
   const char *name;
+  /// Name of the trace span the OU's tracker scope opens (a literal, as
+  /// ObsSpan requires). Execution OUs' names start with "exec.".
+  const char *span_name;
   OuClass ou_class;
   std::vector<std::string> feature_names;
   OuComplexity complexity;

@@ -73,10 +73,14 @@ ObsSpan::ObsSpan(const char *name) : active_(obs::TracingEnabled()) {
 }
 
 ObsSpan::~ObsSpan() {
+  if (active_) Close(static_cast<double>(NowNanos() - start_ns_) / 1000.0);
+}
+
+void ObsSpan::Close(double duration_us) {
   if (!active_) return;
+  active_ = false;
   tls_current_span = saved_parent_;
-  record_.duration_us =
-      static_cast<double>(NowNanos() - start_ns_) / 1000.0;
+  record_.duration_us = duration_us;
   TraceSink::Instance().Push(record_);
 }
 

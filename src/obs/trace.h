@@ -5,10 +5,12 @@
 /// named span (id, parent id, thread, start, duration) into a global
 /// fixed-size ring buffer when span tracing is on. Parentage is a
 /// thread-local — a span opened while another span is live on the same
-/// thread becomes its child, so the spans of one query (txn begin, executor
-/// pipeline nodes, WAL serialize, txn commit) assemble into a tree with the
-/// engine's ExecuteQuery span at the root. Background work (WAL flusher, GC
-/// loop) starts its own roots on its own threads.
+/// thread becomes its child, so the spans of one query assemble into a tree
+/// with the engine's ExecuteQuery span at the root. Every OU's span comes
+/// from its OuTrackerScope (metrics/metrics_collector.h), so below the root
+/// a query's trace is its list of OUs (txn begin, each execution OU, WAL
+/// serialize, txn commit). Background work (WAL flusher, GC loop) starts its
+/// own roots on its own threads.
 ///
 /// When tracing is off (the default) constructing a span is a relaxed
 /// atomic load and an untaken branch; nothing is allocated or latched.
@@ -65,6 +67,12 @@ class ObsSpan {
 
   bool active() const { return active_; }
   uint64_t span_id() const { return record_.span_id; }
+
+  /// Closes the span now with a duration read from another clock (an OU
+  /// scope passes its tracker's elapsed_us, so span and OU record agree);
+  /// the destructor then does nothing. Spans must still close last-in,
+  /// first-out.
+  void Close(double duration_us);
 
  private:
   bool active_;

@@ -9,7 +9,6 @@
 #include "metrics/metrics_collector.h"
 #include "metrics/work_stats.h"
 #include "obs/metrics_registry.h"
-#include "obs/trace.h"
 
 namespace mb2 {
 
@@ -61,7 +60,6 @@ LogManager::~LogManager() {
 Status LogManager::Encode(const std::vector<RedoRecord> &records,
                           uint64_t txn_id, RedoBatch *batch) {
   if (file_ == nullptr || records.empty()) return Status::Ok();
-  batch->span_.emplace("wal.serialize");
   static Counter &appends =
       MetricsRegistry::Instance().GetCounter("mb2_wal_appends_total");
   appends.Add();
@@ -176,7 +174,6 @@ Status LogManager::FlushFilled(bool sync_device) {
     return fault;
   }
 
-  ObsSpan span("wal.flush");
   static Counter &flushes =
       MetricsRegistry::Instance().GetCounter("mb2_wal_flushes_total");
   static Counter &flushed_bytes =

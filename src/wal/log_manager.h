@@ -27,7 +27,6 @@
 #include "common/retry.h"
 #include "common/status.h"
 #include "metrics/metrics_collector.h"
-#include "obs/trace.h"
 #include "wal/log_record.h"
 
 namespace mb2 {
@@ -43,8 +42,10 @@ class LogManager {
   /// steps around the committer's critical section: Encode before it (the
   /// `wal.append` fault point and its retries may stall there), Append
   /// inside it, so buffer order and so file order is commit order, and Sync
-  /// after it. The `wal.serialize` span and the LOG_SERIALIZE OU run from
-  /// Encode until the batch is destroyed.
+  /// after it. The LOG_SERIALIZE OU (and so its `wal.serialize` span) runs
+  /// from the end of Encode's fault-point retries until the batch is
+  /// destroyed; a committer's TXN_COMMIT and sync-commit LOG_FLUSH scopes
+  /// open and close inside it.
   class RedoBatch {
    public:
     RedoBatch() = default;
@@ -55,7 +56,6 @@ class LogManager {
 
    private:
     friend class LogManager;
-    std::optional<ObsSpan> span_;
     std::optional<OuTrackerScope> scope_;
     std::vector<uint8_t> bytes_;
     size_t num_records_ = 0;

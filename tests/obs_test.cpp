@@ -1,6 +1,8 @@
 // Observability-subsystem tests (ctest -L obs): striped counters, log-bucket
 // histogram percentiles vs an exact sort, Prometheus/JSON exposition, span
-// trees assembled from a real query, MetricsManager thread-buffer recycling,
+// trees assembled from a real query (one span per OU record, on its own
+// switch, nested under the WAL's serialize span), MetricsManager
+// thread-buffer recycling,
 // WorkloadDriver pacing/throughput fixes, and the PredictionCache capacity
 // knob-change race (the concurrency cases are what an MB2_TSAN build runs).
 
@@ -8,7 +10,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,9 +21,11 @@
 #include "database.h"
 #include "metrics/metrics_collector.h"
 #include "modeling/model_bot.h"
+#include "obs/drift_monitor.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "runner/ou_runner.h"
+#include "temp_dir.h"
 #include "workload/workload_driver.h"
 
 namespace mb2 {
@@ -221,6 +228,144 @@ TEST_F(ObsTest, QueryProducesSpanTree) {
   EXPECT_TRUE(saw_begin);
   EXPECT_TRUE(saw_exec);
   EXPECT_TRUE(saw_commit);
+}
+
+// --- One span per OU -------------------------------------------------------
+
+/// Its OUs: TXN_BEGIN, two SEQ_SCANs, HASHJOIN_BUILD and _PROBE, AGG_BUILD
+/// and _PROBE, OUTPUT and TXN_COMMIT.
+constexpr const char *kJoinAggQuery =
+    "SELECT grp, SUM(v) FROM facts JOIN dims ON grp = gid GROUP BY grp";
+
+void MakeJoinTables(Database *db) {
+  ASSERT_TRUE(db->Execute("CREATE TABLE facts (id INTEGER, grp INTEGER, "
+                          "v DOUBLE)").ok());
+  ASSERT_TRUE(db->Execute("CREATE TABLE dims (gid INTEGER, w DOUBLE)").ok());
+  for (int i = 0; i < 64; i++) {
+    ASSERT_TRUE(db->Execute("INSERT INTO facts VALUES (" + std::to_string(i) +
+                            ", " + std::to_string(i % 8) + ", " +
+                            std::to_string(i) + ".5)").ok());
+  }
+  for (int g = 0; g < 8; g++) {
+    ASSERT_TRUE(db->Execute("INSERT INTO dims VALUES (" + std::to_string(g) +
+                            ", 1.0)").ok());
+  }
+  db->estimator().RefreshStats();
+}
+
+/// Runs `sql` under the current switches. Returns the spans below its
+/// engine.execute_query root, in the order they closed, and this thread's
+/// OU records, in the order they were made.
+void RunTraced(Database *db, const std::string &sql,
+               std::vector<SpanRecord> *spans, std::vector<OuRecord> *records) {
+  TraceSink::Instance().Clear();
+  MetricsManager::Instance().DrainAll();
+  auto result = db->Execute(sql);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(result.value().status.ok());
+  const std::vector<SpanRecord> all = TraceSink::Instance().Snapshot();
+  std::map<uint64_t, uint64_t> parent_of;
+  uint64_t root = 0;
+  for (const SpanRecord &span : all) {
+    parent_of[span.span_id] = span.parent_id;
+    if (std::string(span.name) == "engine.execute_query") root = span.span_id;
+  }
+  for (const SpanRecord &span : all) {
+    uint64_t up = span.parent_id;
+    while (up != 0 && up != root) up = parent_of.count(up) ? parent_of[up] : 0;
+    if (root != 0 && up == root) spans->push_back(span);
+  }
+  const uint64_t me = std::hash<std::thread::id>{}(std::this_thread::get_id());
+  for (OuRecord &record : MetricsManager::Instance().DrainAll()) {
+    if (record.thread_id == me) records->push_back(std::move(record));
+  }
+}
+
+const SpanRecord *FindSpan(const std::vector<SpanRecord> &spans,
+                           const char *name) {
+  for (const SpanRecord &span : spans) {
+    if (std::string(span.name) == name) return &span;
+  }
+  ADD_FAILURE() << "span not found: " << name;
+  return nullptr;
+}
+
+TEST_F(ObsTest, TracedQueryHasOneSpanPerOuRecord) {
+  Database db;
+  MakeJoinTables(&db);
+  for (int64_t mode : {0, 1, 2}) {
+    ASSERT_TRUE(db.settings().SetInt("execution_mode", mode).ok());
+    db.Execute(kJoinAggQuery);  // warm the plan cache
+    obs::SetTracingEnabled(true);
+    MetricsManager::Instance().SetEnabled(true);
+    std::vector<SpanRecord> spans;
+    std::vector<OuRecord> records;
+    RunTraced(&db, kJoinAggQuery, &spans, &records);
+    MetricsManager::Instance().SetEnabled(false);
+    obs::SetTracingEnabled(false);
+
+    ASSERT_EQ(records.size(), 9u) << "mode " << mode;
+    ASSERT_EQ(spans.size(), records.size()) << "mode " << mode;
+    for (size_t i = 0; i < spans.size(); i++) {
+      EXPECT_STREQ(spans[i].name, GetOuDescriptor(records[i].ou).span_name)
+          << "mode " << mode << " OU " << i;
+      // The span's duration is the OU's elapsed_us label, bit for bit.
+      EXPECT_EQ(std::bit_cast<uint64_t>(spans[i].duration_us),
+                std::bit_cast<uint64_t>(records[i].labels[kLabelElapsedUs]))
+          << "mode " << mode << " " << spans[i].name;
+    }
+  }
+}
+
+TEST_F(ObsTest, OuSpansAndOuRecordsHaveIndependentSwitches) {
+  Database db;
+  MakeJoinTables(&db);
+  DriftMonitor::Instance().SetSamplingEnabled(false);
+  SimulatedHardware::SetCpuFreqGhz(0.0);
+  MetricsManager::Instance().SetEnabled(false);
+  db.Execute(kJoinAggQuery);
+
+  // Tracing alone: the OU spans, and no records.
+  obs::SetTracingEnabled(true);
+  std::vector<SpanRecord> spans;
+  std::vector<OuRecord> records;
+  RunTraced(&db, kJoinAggQuery, &spans, &records);
+  obs::SetTracingEnabled(false);
+  EXPECT_EQ(spans.size(), 9u);
+  EXPECT_TRUE(records.empty());
+  FindSpan(spans, "txn.begin");
+  FindSpan(spans, "exec.hashjoin_build");
+  FindSpan(spans, "exec.agg_probe");
+  FindSpan(spans, "txn.commit");
+
+  // Every switch off: neither spans nor records.
+  spans.clear();
+  RunTraced(&db, kJoinAggQuery, &spans, &records);
+  EXPECT_TRUE(TraceSink::Instance().Snapshot().empty());
+  EXPECT_TRUE(records.empty());
+}
+
+TEST_F(ObsTest, CommitSpanNestsInsideSerializeSpanUnderWal) {
+  TempDir dir;
+  Database::Options options;
+  options.wal_path = dir.File("wal.log");
+  Database db(options);
+  ASSERT_TRUE(db.Execute("CREATE TABLE kv (k INTEGER, v INTEGER)").ok());
+  ASSERT_TRUE(db.settings().SetInt("wal_sync_commit", 1).ok());
+  obs::SetTracingEnabled(true);
+  std::vector<SpanRecord> spans;
+  std::vector<OuRecord> records;
+  RunTraced(&db, "INSERT INTO kv VALUES (1, 2)", &spans, &records);
+  obs::SetTracingEnabled(false);
+
+  // LOG_SERIALIZE's scope lives from Encode to the end of Commit, so the
+  // commit section and the sync-commit flush are its children.
+  const SpanRecord *serialize = FindSpan(spans, "wal.serialize");
+  const SpanRecord *commit = FindSpan(spans, "txn.commit");
+  const SpanRecord *flush = FindSpan(spans, "wal.flush");
+  ASSERT_TRUE(serialize != nullptr && commit != nullptr && flush != nullptr);
+  EXPECT_EQ(commit->parent_id, serialize->span_id);
+  EXPECT_EQ(flush->parent_id, serialize->span_id);
 }
 
 TEST_F(ObsTest, SpanRingOverwritesOldest) {
