@@ -68,6 +68,7 @@ class TransactionManager {
 
  private:
   uint64_t OldestActiveTsLocked() const;
+  double ArrivalRateLocked() const;  ///< caller holds rate_mutex_
 
   LogManager *log_manager_;
 
