@@ -270,181 +270,73 @@ Status Client::Roundtrip(Opcode op, const std::vector<uint8_t> &payload,
   return final_status;
 }
 
-Status Client::Ping() {
+template <typename Body>
+Result<Body> Client::Call(Opcode op, const std::vector<uint8_t> &payload,
+                          BodyDecoder<Body> decode) {
   Frame response;
-  Status s = Roundtrip(Opcode::kPing, {}, &response);
+  const Status s = Roundtrip(op, payload, &response);
   if (!s.ok()) return s;
   WireCode code;
   std::string message;
   size_t offset;
   if (!DecodeResponseHead(response.payload, &code, &message, &offset)) {
-    return Status::IoError("malformed PING response");
+    return Status::IoError(std::string("malformed ") + OpcodeName(op) +
+                           " response");
   }
-  return WireCodeToStatus(code, message);
+  if (code != WireCode::kOk) return WireCodeToStatus(code, message);
+  Body body{};
+  if (decode != nullptr && !decode(response.payload, offset, &body)) {
+    return Status::IoError(std::string("malformed ") + OpcodeName(op) +
+                           " response body");
+  }
+  return body;
+}
+
+Status Client::Ping() {
+  return Call<NoBody>(Opcode::kPing, {}, nullptr).status();
 }
 
 Status Client::Sleep(uint32_t millis) {
-  Frame response;
-  Status s = Roundtrip(Opcode::kSleep, EncodeSleepRequest(millis), &response);
-  if (!s.ok()) return s;
-  WireCode code;
-  std::string message;
-  size_t offset;
-  if (!DecodeResponseHead(response.payload, &code, &message, &offset)) {
-    return Status::IoError("malformed SLEEP response");
-  }
-  return WireCodeToStatus(code, message);
+  return Call<NoBody>(Opcode::kSleep, EncodeSleepRequest(millis), nullptr)
+      .status();
 }
 
 Result<RemoteQueryResult> Client::ExecuteSql(const std::string &sql) {
-  Frame response;
-  Status s = Roundtrip(Opcode::kSqlQuery, EncodeSqlRequest(sql), &response);
-  if (!s.ok()) return s;
-  WireCode code;
-  std::string message;
-  size_t offset;
-  if (!DecodeResponseHead(response.payload, &code, &message, &offset)) {
-    return Status::IoError("malformed SQL response");
-  }
-  if (code != WireCode::kOk) return WireCodeToStatus(code, message);
-  SqlResponseBody body;
-  if (!DecodeSqlResponseBody(response.payload, offset, &body)) {
-    return Status::IoError("malformed SQL response body");
-  }
-  RemoteQueryResult out;
-  out.rows = std::move(body.rows);
-  out.elapsed_us = body.elapsed_us;
-  out.aborted = body.aborted;
-  return out;
+  return Call(Opcode::kSqlQuery, EncodeSqlRequest(sql), DecodeSqlResponseBody);
 }
 
 Result<RemotePrediction> Client::PredictOus(
     const std::vector<TranslatedOu> &ous) {
-  Frame response;
-  Status s =
-      Roundtrip(Opcode::kPredictOus, EncodePredictRequest(ous), &response);
-  if (!s.ok()) return s;
-  WireCode code;
-  std::string message;
-  size_t offset;
-  if (!DecodeResponseHead(response.payload, &code, &message, &offset)) {
-    return Status::IoError("malformed PREDICT_OUS response");
-  }
-  if (code != WireCode::kOk) return WireCodeToStatus(code, message);
-  PredictResponseBody body;
-  if (!DecodePredictResponseBody(response.payload, offset, &body)) {
-    return Status::IoError("malformed PREDICT_OUS response body");
-  }
-  RemotePrediction out;
-  out.per_ou = std::move(body.per_ou);
-  out.degraded_ous = body.degraded_ous;
-  return out;
+  return Call(Opcode::kPredictOus, EncodePredictRequest(ous),
+              DecodePredictResponseBody);
 }
 
 Result<std::string> Client::GetMetricsJson() {
-  Frame response;
-  Status s = Roundtrip(Opcode::kGetMetrics, {}, &response);
-  if (!s.ok()) return s;
-  WireCode code;
-  std::string message;
-  size_t offset;
-  if (!DecodeResponseHead(response.payload, &code, &message, &offset)) {
-    return Status::IoError("malformed GET_METRICS response");
-  }
-  if (code != WireCode::kOk) return WireCodeToStatus(code, message);
-  std::string json;
-  if (!DecodeMetricsResponseBody(response.payload, offset, &json)) {
-    return Status::IoError("malformed GET_METRICS response body");
-  }
-  return json;
+  return Call(Opcode::kGetMetrics, {}, DecodeMetricsResponseBody);
 }
 
 Result<HealthInfo> Client::Health() {
-  Frame response;
-  Status s = Roundtrip(Opcode::kHealth, {}, &response);
-  if (!s.ok()) return s;
-  WireCode code;
-  std::string message;
-  size_t offset;
-  if (!DecodeResponseHead(response.payload, &code, &message, &offset)) {
-    return Status::IoError("malformed HEALTH response");
-  }
-  if (code != WireCode::kOk) return WireCodeToStatus(code, message);
-  HealthInfo info;
-  if (!DecodeHealthResponseBody(response.payload, offset, &info)) {
-    return Status::IoError("malformed HEALTH response body");
-  }
-  return info;
+  return Call(Opcode::kHealth, {}, DecodeHealthResponseBody);
 }
 
 Result<CtrlStatusBody> Client::CtrlStatus() {
-  Frame response;
-  Status s = Roundtrip(Opcode::kCtrlStatus, {}, &response);
-  if (!s.ok()) return s;
-  WireCode code;
-  std::string message;
-  size_t offset;
-  if (!DecodeResponseHead(response.payload, &code, &message, &offset)) {
-    return Status::IoError("malformed CTRL_STATUS response");
-  }
-  if (code != WireCode::kOk) return WireCodeToStatus(code, message);
-  CtrlStatusBody body;
-  if (!DecodeCtrlStatusResponseBody(response.payload, offset, &body)) {
-    return Status::IoError("malformed CTRL_STATUS response body");
-  }
-  return body;
+  return Call(Opcode::kCtrlStatus, {}, DecodeCtrlStatusResponseBody);
 }
 
 Result<ReplSubscribeResponseBody> Client::ReplSubscribe(
     const ReplSubscribeRequest &req) {
-  Frame response;
-  Status s = Roundtrip(Opcode::kReplSubscribe, EncodeReplSubscribeRequest(req),
-                       &response);
-  if (!s.ok()) return s;
-  WireCode code;
-  std::string message;
-  size_t offset;
-  if (!DecodeResponseHead(response.payload, &code, &message, &offset)) {
-    return Status::IoError("malformed REPL_SUBSCRIBE response");
-  }
-  if (code != WireCode::kOk) return WireCodeToStatus(code, message);
-  ReplSubscribeResponseBody body;
-  if (!DecodeReplSubscribeResponseBody(response.payload, offset, &body)) {
-    return Status::IoError("malformed REPL_SUBSCRIBE response body");
-  }
-  return body;
+  return Call(Opcode::kReplSubscribe, EncodeReplSubscribeRequest(req),
+              DecodeReplSubscribeResponseBody);
 }
 
 Result<ReplLogBatchBody> Client::ReplFetch(const ReplFetchRequest &req) {
-  Frame response;
-  Status s =
-      Roundtrip(Opcode::kReplLogBatch, EncodeReplFetchRequest(req), &response);
-  if (!s.ok()) return s;
-  WireCode code;
-  std::string message;
-  size_t offset;
-  if (!DecodeResponseHead(response.payload, &code, &message, &offset)) {
-    return Status::IoError("malformed REPL_LOG_BATCH response");
-  }
-  if (code != WireCode::kOk) return WireCodeToStatus(code, message);
-  ReplLogBatchBody body;
-  if (!DecodeReplLogBatchResponseBody(response.payload, offset, &body)) {
-    return Status::IoError("malformed REPL_LOG_BATCH response body");
-  }
-  return body;
+  return Call(Opcode::kReplLogBatch, EncodeReplFetchRequest(req),
+              DecodeReplLogBatchResponseBody);
 }
 
 Status Client::ReplAck(const ReplAckRequest &req) {
-  Frame response;
-  Status s = Roundtrip(Opcode::kReplAck, EncodeReplAckRequest(req), &response);
-  if (!s.ok()) return s;
-  WireCode code;
-  std::string message;
-  size_t offset;
-  if (!DecodeResponseHead(response.payload, &code, &message, &offset)) {
-    return Status::IoError("malformed REPL_ACK response");
-  }
-  return WireCodeToStatus(code, message);
+  return Call<NoBody>(Opcode::kReplAck, EncodeReplAckRequest(req), nullptr)
+      .status();
 }
 
 Client::Stats Client::stats() const {

@@ -60,17 +60,12 @@ struct ClientOptions {
   uint64_t rng_seed = 0x5eed;  ///< backoff jitter seed
 };
 
-/// Remote SQL result (the server-side engine's QueryResult over the wire).
-struct RemoteQueryResult {
-  std::vector<Tuple> rows;
-  double elapsed_us = 0.0;  ///< server-side execution latency
-  bool aborted = false;
-};
-
-struct RemotePrediction {
-  std::vector<Labels> per_ou;  ///< parallel to the request's OUs
-  uint32_t degraded_ous = 0;
-};
+/// Remote SQL result: the server-side engine's QueryResult as the wire
+/// carries it (rows, server-side execution latency, aborted flag).
+using RemoteQueryResult = SqlResponseBody;
+/// Remote prediction: labels parallel to the request's OUs, plus how many
+/// were served from fallback labels.
+using RemotePrediction = PredictResponseBody;
 
 class Client {
  public:
@@ -119,6 +114,16 @@ class Client {
   /// Full request with retry/backoff. On OK, *out holds the response frame
   /// (whose payload may still carry a server-side error code).
   Status Roundtrip(Opcode op, const std::vector<uint8_t> &payload, Frame *out);
+
+  /// Body of an OK response that carries none (PING, SLEEP, REPL_ACK).
+  struct NoBody {};
+  template <typename Body>
+  using BodyDecoder = bool (*)(const std::vector<uint8_t> &, size_t, Body *);
+  /// Every call's path: Roundtrip, the response head, the server's code,
+  /// then `decode` (null for NoBody) on the body. Errors name the opcode.
+  template <typename Body>
+  Result<Body> Call(Opcode op, const std::vector<uint8_t> &payload,
+                    BodyDecoder<Body> decode);
 
   Result<int> Dial();
   int Checkout();          ///< pooled fd or -1

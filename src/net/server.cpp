@@ -86,6 +86,11 @@ void SetNoDelay(int fd) {
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
+/// The response for a request the engine or the replication service failed.
+std::vector<uint8_t> EncodeErrorResponse(const Status &s) {
+  return EncodeStatusResponse(StatusToWireCode(s), s.ToString());
+}
+
 }  // namespace
 
 /// One accepted TCP connection. Reads, frame decoding, and socket writes
@@ -593,15 +598,9 @@ std::vector<uint8_t> Server::DispatchOpcode(const Frame &frame) {
         return EncodeStatusResponse(WireCode::kBadRequest, "bad SQL payload");
       }
       Result<QueryResult> result = db_->Execute(sql);
-      if (!result.ok()) {
-        return EncodeStatusResponse(StatusToWireCode(result.status()),
-                                    result.status().ToString());
-      }
+      if (!result.ok()) return EncodeErrorResponse(result.status());
       QueryResult &qr = result.value();
-      if (!qr.status.ok()) {
-        return EncodeStatusResponse(StatusToWireCode(qr.status),
-                                    qr.status.ToString());
-      }
+      if (!qr.status.ok()) return EncodeErrorResponse(qr.status);
       SqlResponseBody body;
       body.rows = std::move(qr.batch.rows);
       body.elapsed_us = qr.elapsed_us;
@@ -678,9 +677,7 @@ std::vector<uint8_t> Server::DispatchOpcode(const Frame &frame) {
       }
       ReplSubscribeResponseBody body;
       const Status s = repl_->Subscribe(req, &body);
-      if (!s.ok()) {
-        return EncodeStatusResponse(StatusToWireCode(s), s.ToString());
-      }
+      if (!s.ok()) return EncodeErrorResponse(s);
       return EncodeReplSubscribeResponse(body);
     }
 
@@ -696,9 +693,7 @@ std::vector<uint8_t> Server::DispatchOpcode(const Frame &frame) {
       }
       ReplLogBatchBody body;
       const Status s = repl_->Fetch(req, &body);
-      if (!s.ok()) {
-        return EncodeStatusResponse(StatusToWireCode(s), s.ToString());
-      }
+      if (!s.ok()) return EncodeErrorResponse(s);
       return EncodeReplLogBatchResponse(body);
     }
 
@@ -713,9 +708,7 @@ std::vector<uint8_t> Server::DispatchOpcode(const Frame &frame) {
                                     "bad REPL_ACK payload");
       }
       const Status s = repl_->Ack(req);
-      if (!s.ok()) {
-        return EncodeStatusResponse(StatusToWireCode(s), s.ToString());
-      }
+      if (!s.ok()) return EncodeErrorResponse(s);
       return EncodeStatusResponse(WireCode::kOk, "");
     }
   }
