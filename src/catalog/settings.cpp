@@ -9,9 +9,6 @@ SettingsManager::SettingsManager() {
   knobs_["execution_mode"] = {0.0, KnobKind::kBehavior};
   knobs_["log_flush_interval_us"] = {10000.0, KnobKind::kBehavior};
   knobs_["gc_interval_us"] = {10000.0, KnobKind::kBehavior};
-  knobs_["index_build_threads"] = {4.0, KnobKind::kBehavior};
-  knobs_["working_mem_limit_bytes"] = {1.0 * (1ull << 30), KnobKind::kResource};
-  knobs_["simulated_cpu_freq_ghz"] = {0.0, KnobKind::kBehavior};  // 0 = native
   // Fault-injection knob for the software-update study (Sec 8.5 / Fig 9a):
   // sleep 1µs every N tuples inserted into a join hash table. 0 disables.
   knobs_["jht_sleep_every_n"] = {0.0, KnobKind::kBehavior};

@@ -73,9 +73,6 @@ class SettingsManager {
   ///   execution_mode          0=interpret 1=compiled 2=vector   (behavior)
   ///   log_flush_interval_us   WAL flush period                  (behavior)
   ///   gc_interval_us          garbage-collection period         (behavior)
-  ///   index_build_threads     parallel index-build degree       (behavior)
-  ///   working_mem_limit_bytes per-query memory budget           (resource)
-  ///   simulated_cpu_freq_ghz  hardware-context simulation knob  (behavior)
   ///   ou_cache_capacity       OU-prediction cache entries/type  (resource)
   ///   net_worker_threads      server worker pool size (at start)(resource)
   ///   net_queue_depth         server admission bound (hot)      (resource)

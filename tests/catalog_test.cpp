@@ -82,7 +82,7 @@ TEST(SettingsTest, KnobKindsMatchPaperCategories) {
   SettingsManager settings;
   EXPECT_EQ(settings.Kind("execution_mode"), KnobKind::kBehavior);
   EXPECT_EQ(settings.Kind("log_flush_interval_us"), KnobKind::kBehavior);
-  EXPECT_EQ(settings.Kind("working_mem_limit_bytes"), KnobKind::kResource);
+  EXPECT_EQ(settings.Kind("buffer_pool_pages"), KnobKind::kResource);
 }
 
 TEST(SettingsTest, SnapshotContainsEveryKnob) {
