@@ -3,7 +3,10 @@
 /// \file checksum.h
 /// CRC32 (IEEE 802.3 polynomial, the zlib/gzip variant) for detecting
 /// corrupt or truncated bytes: model files, wire frames, heap pages and
-/// shipped WAL batches. Table-driven, one pass.
+/// shipped WAL batches. One pass, slicing-by-8: eight bytes per step through
+/// eight 256-entry tables, then a bytewise tail; every input and every
+/// chained call gives the same value as the bytewise table walk. Assumes a
+/// little-endian host, as common/serde.h does.
 
 #include <cstddef>
 #include <cstdint>

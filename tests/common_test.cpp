@@ -1,12 +1,15 @@
 // Unit tests for the common module: values, robust statistics, RNG, CSV,
-// thread pool, and latches.
+// thread pool, latches, and the CRC32 checksum.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <thread>
+#include <vector>
 
+#include "common/checksum.h"
 #include "common/csv.h"
 #include "common/latch.h"
 #include "common/rng.h"
@@ -236,6 +239,77 @@ TEST(SharedLatchTest, WriterExcludesWriter) {
   latch.UnlockExclusive();
   EXPECT_TRUE(latch.TryLockExclusive());
   latch.UnlockExclusive();
+}
+
+// --- Crc32 -------------------------------------------------------------------
+
+/// The bytewise table walk Crc32 ran before slicing-by-8; kept here as the
+/// reference every slicing-by-8 result must equal.
+uint32_t BytewiseCrc32(const uint8_t *bytes, size_t len, uint32_t crc) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; i++) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; k++) c = (c & 1) ? 0xedb88320U ^ (c >> 1) : c >> 1;
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t c = crc ^ 0xffffffffU;
+  for (size_t i = 0; i < len; i++) c = table[(c ^ bytes[i]) & 0xffU] ^ (c >> 8);
+  return c ^ 0xffffffffU;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, Rng *rng) {
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t &b : bytes) b = static_cast<uint8_t>(rng->Next());
+  return bytes;
+}
+
+TEST(Crc32Test, CheckValue) {
+  const char *check = "123456789";
+  EXPECT_EQ(Crc32(check, 9), 0xCBF43926U);
+  EXPECT_EQ(Crc32(nullptr, 0), 0U);
+}
+
+TEST(Crc32Test, EqualsBytewiseAtEveryOffsetAndLength) {
+  Rng rng(2015);
+  const std::vector<uint8_t> buffer = RandomBytes(20000 + 64, &rng);
+  // Every length up to 80 at every offset covers each alignment of the
+  // 8-byte body against each tail length.
+  for (size_t offset = 0; offset < 64; offset++) {
+    for (size_t len = 0; len <= 80; len++) {
+      ASSERT_EQ(Crc32(buffer.data() + offset, len),
+                BytewiseCrc32(buffer.data() + offset, len, 0))
+          << "offset " << offset << " len " << len;
+    }
+  }
+  for (int i = 0; i < 2000; i++) {
+    const size_t offset = static_cast<size_t>(rng.Uniform(0, 63));
+    const size_t len = static_cast<size_t>(rng.Uniform(0, 20000));
+    const uint32_t seed = static_cast<uint32_t>(rng.Next());
+    ASSERT_EQ(Crc32(buffer.data() + offset, len, seed),
+              BytewiseCrc32(buffer.data() + offset, len, seed))
+        << "offset " << offset << " len " << len << " seed " << seed;
+  }
+}
+
+TEST(Crc32Test, ChainedCallsEqualOneCall) {
+  Rng rng(77);
+  for (int i = 0; i < 200; i++) {
+    const std::vector<uint8_t> buffer =
+        RandomBytes(static_cast<size_t>(rng.Uniform(0, 5000)), &rng);
+    const uint32_t whole = Crc32(buffer.data(), buffer.size());
+    uint32_t chained = 0;
+    size_t pos = 0;
+    while (pos < buffer.size()) {
+      const size_t piece = std::min<size_t>(
+          buffer.size() - pos, static_cast<size_t>(rng.Uniform(0, 37)));
+      chained = Crc32(buffer.data() + pos, piece, chained);
+      pos += piece;
+    }
+    ASSERT_EQ(chained, whole) << "buffer of " << buffer.size() << " bytes";
+  }
 }
 
 }  // namespace
