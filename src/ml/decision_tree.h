@@ -41,16 +41,21 @@ class DecisionTree : public Regressor {
   size_t NumNodes() const { return nodes_.size(); }
   size_t leaf_width() const { return leaf_width_; }
 
- private:
   /// Flattened node: leaves index into the contiguous leaf_values_ pool
   /// instead of owning a heap vector, so batch traversal stays in-cache.
+  /// A row goes left when row[feature] <= threshold (so NaN goes right).
   struct Node {
     int32_t feature = -1;  ///< -1 = leaf
     double threshold = 0.0;
     int32_t left = -1, right = -1;
     int32_t leaf_offset = -1;  ///< element offset into leaf_values_ (leaves)
   };
+  /// The flat layout, read by gradient boosting to build its scorer. Node 0
+  /// is the root; a loaded tree's children always have larger ids.
+  const std::vector<Node> &nodes() const { return nodes_; }
+  const std::vector<double> &leaf_values() const { return leaf_values_; }
 
+ private:
   int32_t Build(const Matrix &x, const Matrix &y, std::vector<size_t> *rows,
                 uint32_t depth);
   /// Appends the mean target vector of rows to leaf_values_; returns its offset.

@@ -171,13 +171,24 @@ void DecisionTree::LoadFrom(ByteReader *reader) {
   }
   leaf_width_ = reader->Get<uint64_t>();
   leaf_values_ = reader->GetDoubles();
-  // Validate every leaf offset against the pool so a corrupt payload can't
-  // produce out-of-bounds reads at predict time.
-  for (const Node &node : nodes_) {
-    if (node.feature >= 0) continue;
-    if (node.leaf_offset < 0 ||
-        static_cast<uint64_t>(node.leaf_offset) + leaf_width_ >
-            leaf_values_.size()) {
+  // Validate every node so a corrupt payload with a valid checksum can't
+  // make the walk read out of bounds or loop: children must lie after their
+  // parent and inside the array, and leaf offsets inside the pool.
+  for (size_t id = 0; id < nodes_.size(); id++) {
+    const Node &node = nodes_[id];
+    bool valid;
+    if (node.feature >= 0) {
+      auto child_ok = [&](int32_t child) {
+        return child > static_cast<int64_t>(id) &&
+               static_cast<uint64_t>(child) < nodes_.size();
+      };
+      valid = child_ok(node.left) && child_ok(node.right);
+    } else {
+      valid = node.feature == -1 && node.leaf_offset >= 0 &&
+              static_cast<uint64_t>(node.leaf_offset) + leaf_width_ <=
+                  leaf_values_.size();
+    }
+    if (!valid) {
       reader->MarkCorrupt();
       return;
     }
@@ -216,8 +227,13 @@ void GradientBoosting::LoadFrom(ByteReader *reader) {
   for (uint32_t i = 0; i < n && reader->ok(); i++) {
     auto tree = std::make_unique<DecisionTree>();
     tree->LoadFrom(reader);
+    // Every tree adds into base_'s outputs.
+    if (tree->leaf_width() != base_.size()) reader->MarkCorrupt();
     trees_.push_back(std::move(tree));
   }
+  // The scorer is derived, never stored; a tree it cannot lay out (no
+  // nodes, or more leaves than a mask holds) makes the file corrupt.
+  if (reader->ok() && !BuildScorer()) reader->MarkCorrupt();
 }
 
 // --- Neural network -------------------------------------------------------------------
