@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -72,19 +73,25 @@ TEST(ResourceTrackerTest, MemoryBytesOverrideWins) {
 }
 
 TEST(SimulatedHardwareTest, LowerFrequencySlowsTrackedWork) {
+  // Five interleaved native/slowed pairs, compared fastest against fastest:
+  // load on another core can stretch any one run, but rarely every run of
+  // one side while sparing the other.
   ResourceTracker tracker;
-  tracker.Start();
-  BurnCpu(1000000);
-  const Labels native = tracker.Stop();
+  double native_us = 1e300, slowed_us = 1e300;
+  for (int pair = 0; pair < 5; pair++) {
+    tracker.Start();
+    BurnCpu(1000000);
+    native_us = std::min(native_us, tracker.Stop()[kLabelElapsedUs]);
 
-  SimulatedHardware::SetCpuFreqGhz(1.5);  // half of the 3.0 base
-  tracker.Start();
-  BurnCpu(1000000);
-  const Labels slowed = tracker.Stop();
-  SimulatedHardware::SetCpuFreqGhz(0.0);
+    SimulatedHardware::SetCpuFreqGhz(1.5);  // half of the 3.0 base
+    tracker.Start();
+    BurnCpu(1000000);
+    slowed_us = std::min(slowed_us, tracker.Stop()[kLabelElapsedUs]);
+    SimulatedHardware::SetCpuFreqGhz(0.0);
+  }
 
   // ~2x slower elapsed (generous bounds for scheduler noise).
-  EXPECT_GT(slowed[kLabelElapsedUs], native[kLabelElapsedUs] * 1.4);
+  EXPECT_GT(slowed_us, native_us * 1.4);
   EXPECT_DOUBLE_EQ(SimulatedHardware::EffectiveFreqGhz(),
                    SimulatedHardware::kBaseFreqGhz);
 }
