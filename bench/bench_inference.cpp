@@ -4,7 +4,8 @@
 // exercises the serving-layer OU-prediction cache through
 // `ModelBot::PredictOus` and reports its hit rate. Results are written
 // machine-readable to BENCH_inference.json so future PRs have a perf
-// trajectory.
+// trajectory; the file's "stamp" names the host, cores, build type and
+// commit (BenchStamp), so only files from the same host are compared.
 //
 // Flags:
 //   --smoke       tiny sizes for CI (ctest label "perf"): asserts batched
@@ -164,7 +165,9 @@ int main(int argc, char **argv) {
   const size_t jobs = ParseJobs(argc, argv);
 
   Section header("Batched inference fast path");
-  std::printf("(mode=%s, jobs=%zu)\n", smoke ? "smoke" : "bench", jobs);
+  const std::string stamp = BenchStamp();
+  std::printf("(mode=%s, jobs=%zu)\nstamp %s\n", smoke ? "smoke" : "bench",
+              jobs, stamp.c_str());
 
   // --- Part 1: single-row vs batched throughput per algorithm -------------
   const size_t d = 8, k = kNumLabels;
@@ -235,8 +238,8 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "FAIL: cannot write %s\n", out_path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"mode\": \"%s\",\n  \"results\": [\n",
-               smoke ? "smoke" : "bench");
+  std::fprintf(f, "{\n  \"mode\": \"%s\",\n  \"stamp\": %s,\n  \"results\": [\n",
+               smoke ? "smoke" : "bench", stamp.c_str());
   for (size_t i = 0; i < results.size(); i++) {
     const AlgoResult &r = results[i];
     std::fprintf(f,

@@ -2,7 +2,8 @@
 // driven by closed-loop (back-to-back) and open-loop (paced arrivals) client
 // fleets, per opcode. Reports throughput and p50/p95/p99 latency, written
 // machine-readable to BENCH_net.json so future PRs have a perf baseline for
-// the serving path (remote SQL and remote OU prediction).
+// the serving path (remote SQL and remote OU prediction). The file's
+// "stamp" names the host, cores, build type and commit (BenchStamp).
 //
 //   --smoke       tiny sizes for CI (ctest label "perf"): asserts zero
 //                 request failures and a valid JSON artifact
@@ -152,8 +153,9 @@ int main(int argc, char **argv) {
   const size_t per_thread = smoke ? 100 : 2000;
 
   Section header("Network service layer");
-  std::printf("(mode=%s, client threads=%zu, requests/thread=%zu)\n",
-              smoke ? "smoke" : "bench", threads, per_thread);
+  const std::string stamp = BenchStamp();
+  std::printf("(mode=%s, client threads=%zu, requests/thread=%zu)\nstamp %s\n",
+              smoke ? "smoke" : "bench", threads, per_thread, stamp.c_str());
 
   // --- Server + data + model setup ----------------------------------------
   Database db;
@@ -234,8 +236,8 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "FAIL: cannot write %s\n", out_path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"mode\": \"%s\",\n  \"results\": [\n",
-               smoke ? "smoke" : "bench");
+  std::fprintf(f, "{\n  \"mode\": \"%s\",\n  \"stamp\": %s,\n  \"results\": [\n",
+               smoke ? "smoke" : "bench", stamp.c_str());
   for (size_t i = 0; i < results.size(); i++) {
     const LoadResult &r = results[i];
     std::fprintf(f,

@@ -12,6 +12,9 @@
 /// Command-line flags (benches that accept argc/argv):
 ///   --jobs N | --jobs=N | -j N          parallel sweep + training workers
 
+#include <unistd.h>
+
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -51,6 +54,39 @@ inline size_t ParseJobs(int argc, char **argv) {
     if (env != nullptr) jobs = std::atol(env);
   }
   return jobs > 0 ? static_cast<size_t>(jobs) : 1;
+}
+
+#ifndef MB2_BUILD_TYPE
+#define MB2_BUILD_TYPE "unknown"
+#endif
+
+/// Where a BENCH_*.json came from, as one JSON object: host name, online
+/// cores, CMake build type and the git commit of the working directory.
+/// Numbers from two files compare only when host and cores match.
+inline std::string BenchStamp() {
+  // Keeps only characters that need no JSON escaping.
+  auto clean = [](const std::string &raw) {
+    std::string out;
+    for (char c : raw) {
+      if (std::isalnum(static_cast<unsigned char>(c)) || c == '.' || c == '-' ||
+          c == '_') {
+        out += c;
+      }
+    }
+    return out.empty() ? std::string("unknown") : out;
+  };
+  char host[256] = {};
+  if (gethostname(host, sizeof(host) - 1) != 0) host[0] = '\0';
+  std::string commit;
+  if (FILE *git = popen("git rev-parse HEAD 2>/dev/null", "r")) {
+    char line[128] = {};
+    if (std::fgets(line, sizeof(line), git) != nullptr) commit = line;
+    if (pclose(git) != 0) commit.clear();
+  }
+  return "{\"host\": \"" + clean(host) + "\", \"nproc\": " +
+         std::to_string(sysconf(_SC_NPROCESSORS_ONLN)) +
+         ", \"build_type\": \"" + clean(MB2_BUILD_TYPE) +
+         "\", \"commit\": \"" + clean(commit) + "\"}";
 }
 
 class WallTimer {
