@@ -124,7 +124,7 @@ bool GradientBoosting::BuildScorer() {
 void GradientBoosting::ScoreRow(const double *x, uint32_t *exits,
                                 double *out) const {
   const Scorer &s = scorer_;
-  const size_t trees = trees_.size(), k = base_.size();
+  const size_t trees = s.first_leaf.size(), k = base_.size();
   std::fill(exits, exits + trees, ~uint32_t{0});
   const double *thresholds = s.thresholds.data();
   const uint64_t *tree_masks = s.tree_masks.data();
@@ -132,10 +132,12 @@ void GradientBoosting::ScoreRow(const double *x, uint32_t *exits,
     const double v = x[range.feature];
     // The walk goes left when v <= threshold: then it does so at every
     // later split too. NaN fails them all and goes right, as in the walk.
-    for (uint32_t i = range.begin, end = range.end; i < end && !(v <= thresholds[i]); i++) {
+    for (uint32_t i = range.begin, end = range.end;
+         i < end && !(v <= thresholds[i]); i++) {
       exits[tree_masks[i] >> 32] &= static_cast<uint32_t>(tree_masks[i]);
     }
   }
+  // Each bitvector becomes its exit leaf's index in s.leaves.
   for (size_t h = 0; h < trees; h++) {
     exits[h] = s.first_leaf[h] + static_cast<uint32_t>(std::countr_zero(exits[h]));
   }
@@ -147,7 +149,8 @@ void GradientBoosting::ScoreRow(const double *x, uint32_t *exits,
     const double *leaves = s.leaves.data() + c;
     for (size_t h = 0; h < trees; h++) {
       const double *leaf = leaves + size_t{exits[h]} * s.stride;
-#pragma GCC unroll 9
+      // Unrolled, so the sums stay in registers across the trees.
+#pragma GCC unroll kLanes
       for (size_t j = 0; j < kLanes; j++) acc[j] += leaf[j];
     }
     for (size_t j = 0; j < lanes; j++) out[c + j] = acc[j];
@@ -156,7 +159,7 @@ void GradientBoosting::ScoreRow(const double *x, uint32_t *exits,
 
 std::vector<double> GradientBoosting::Predict(const std::vector<double> &x) const {
   std::vector<double> out(base_.size());
-  std::vector<uint32_t> exits(trees_.size());
+  std::vector<uint32_t> exits(scorer_.first_leaf.size());
   ScoreRow(x.data(), exits.data(), out.data());
   return out;
 }
@@ -164,7 +167,7 @@ std::vector<double> GradientBoosting::Predict(const std::vector<double> &x) cons
 void GradientBoosting::PredictBatch(const Matrix &x, Matrix *out) const {
   const size_t n = x.rows();
   out->Resize(n, base_.size());
-  std::vector<uint32_t> exits(trees_.size());
+  std::vector<uint32_t> exits(scorer_.first_leaf.size());
   for (size_t r = 0; r < n; r++) {
     ScoreRow(x.RowPtr(r), exits.data(), out->RowPtr(r));
   }

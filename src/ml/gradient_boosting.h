@@ -58,7 +58,8 @@ class GradientBoosting : public Regressor {
     /// tree_masks with its mask in the low half.
     std::vector<double> thresholds;
     std::vector<uint64_t> tree_masks;
-    /// Per tree, the index of its first leaf in `leaves`.
+    /// Per tree, the index of its first leaf in `leaves`; its size is the
+    /// tree count, so a scorer never indexes past its own arrays.
     std::vector<uint32_t> first_leaf;
     /// learning_rate_ × leaf value, `stride` doubles per leaf: the leaf
     /// width rounded up to whole kLanes chunks, zero-padded.
@@ -72,7 +73,7 @@ class GradientBoosting : public Regressor {
   /// than kMaxLeaves leaves.
   bool BuildScorer();
   /// Writes base_ + Σ_trees lr × leaf(x), in tree order, to out[0, k).
-  /// `exits` is scratch for one uint32_t per tree.
+  /// `exits` is scratch for one uint32_t per scorer tree.
   void ScoreRow(const double *x, uint32_t *exits, double *out) const;
 
   uint32_t rounds_;

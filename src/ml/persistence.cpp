@@ -220,6 +220,7 @@ void GradientBoosting::Save(ByteWriter *writer) const {
 }
 
 void GradientBoosting::LoadFrom(ByteReader *reader) {
+  scorer_ = Scorer();
   learning_rate_ = reader->Get<double>();
   base_ = reader->GetDoubles();
   const uint32_t n = reader->Get<uint32_t>();

@@ -243,8 +243,8 @@ TEST(SharedLatchTest, WriterExcludesWriter) {
 
 // --- Crc32 -------------------------------------------------------------------
 
-/// The bytewise table walk Crc32 ran before slicing-by-8; kept here as the
-/// reference every slicing-by-8 result must equal.
+/// Bytewise table-driven CRC32 over the same polynomial: the reference
+/// every slicing-by-8 result must equal.
 uint32_t BytewiseCrc32(const uint8_t *bytes, size_t len, uint32_t crc) {
   static const std::vector<uint32_t> table = [] {
     std::vector<uint32_t> t(256);
