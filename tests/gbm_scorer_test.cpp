@@ -239,13 +239,13 @@ TEST(GbmScorerTest, UnfittedAndEmptyFitPredictBase) {
 
 constexpr uint64_t kFlatTreeFlag = 1ull << 63;
 
-/// A three-node tree: root splits `feature` at 0.5 into children `left` and
-/// `right`; nodes 1 and 2 are leaves of `width` values each.
+/// A three-node tree: root splits feature 0 at `threshold` into children
+/// `left` and `right`; nodes 1 and 2 are leaves of `width` values each.
 void PutTree(ByteWriter *w, int32_t left, int32_t right, size_t width = 2,
-             int32_t leaf_feature = -1) {
+             int32_t leaf_feature = -1, double threshold = 0.5) {
   w->Put<uint64_t>(3 | kFlatTreeFlag);
   w->Put<int32_t>(0);
-  w->Put<double>(0.5);
+  w->Put<double>(threshold);
   w->Put<int32_t>(left);
   w->Put<int32_t>(right);
   w->Put<int32_t>(-1);
@@ -269,14 +269,14 @@ bool TreeLoads(const ByteWriter &w) {
   return reader.ok();
 }
 
-/// A GBM file (tag included) holding `base` and the given tree bytes.
+/// A GBM file (tag included) holding `base` and `count` trees' bytes.
 std::unique_ptr<Regressor> LoadGbm(const std::vector<double> &base,
-                                   const ByteWriter &tree) {
+                                   const ByteWriter &tree, uint32_t count = 1) {
   ByteWriter w;
   w.Put<uint8_t>(static_cast<uint8_t>(MlAlgorithm::kGradientBoosting));
   w.Put<double>(0.5);
   w.PutDoubles(base);
-  w.Put<uint32_t>(1);
+  w.Put<uint32_t>(count);
   std::vector<uint8_t> bytes = w.bytes();
   bytes.insert(bytes.end(), tree.bytes().begin(), tree.bytes().end());
   ByteReader reader(bytes.data(), bytes.size());
@@ -293,6 +293,23 @@ TEST(TreePersistenceTest, HandMadeTreeLoadsAndPredicts) {
   EXPECT_EQ(gbm->Predict({0.5}), (std::vector<double>{10.5, 21.0}));
   EXPECT_EQ(gbm->Predict({0.75}), (std::vector<double>{11.5, 22.0}));
   EXPECT_EQ(gbm->Predict({std::nan("")}), (std::vector<double>{11.5, 22.0}));
+}
+
+TEST(GbmScorerTest, NaNThresholdFailsEveryRow) {
+  // NaN <= t is false for every row, so the walk goes right at a NaN
+  // threshold whatever the row holds; the scorer must fail it too, while a
+  // finite threshold on the same feature still sends small rows left.
+  ByteWriter w;
+  PutTree(&w, 1, 2, 2, -1, std::nan(""));
+  PutTree(&w, 1, 2, 2, -1, 0.5);
+  PutTree(&w, 1, 2, 2, -1, std::numeric_limits<double>::infinity());
+  auto gbm = LoadGbm({10.0, 20.0}, w, 3);
+  ASSERT_NE(gbm, nullptr);
+  Matrix rows;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double v : {0.2, 0.5, 0.7, inf, -inf, -0.0, std::nan("")}) rows.AppendRow({v});
+  ExpectScorerMatchesWalk(*gbm, rows, "NaN threshold");
+  EXPECT_EQ(gbm->Predict({0.2}), (std::vector<double>{12.5, 24.0}));
 }
 
 TEST(TreePersistenceTest, ChildBeyondNodeArrayIsRejected) {
