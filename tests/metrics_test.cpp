@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -72,26 +71,33 @@ TEST(ResourceTrackerTest, MemoryBytesOverrideWins) {
   EXPECT_DOUBLE_EQ(labels[kLabelMemoryBytes], 123456.0);
 }
 
+/// Burns CPU in one tracked window; returns the window's elapsed_us label and
+/// sets *work_us to the loop's own time, read inside the same window.
+double TrackedBurnUs(ResourceTracker *tracker, double *work_us) {
+  tracker->Start();
+  const auto start = std::chrono::steady_clock::now();
+  BurnCpu(1000000);
+  *work_us = std::chrono::duration<double, std::micro>(
+                 std::chrono::steady_clock::now() - start)
+                 .count();
+  return tracker->Stop()[kLabelElapsedUs];
+}
+
 TEST(SimulatedHardwareTest, LowerFrequencySlowsTrackedWork) {
-  // Five interleaved native/slowed pairs, compared fastest against fastest:
-  // load on another core can stretch any one run, but rarely every run of
-  // one side while sparing the other.
+  // Each label is compared with the work inside its own window, not with a
+  // second run: on a shared host the same loop can take twice as long from
+  // one run to the next, which flipped a run-against-run comparison.
   ResourceTracker tracker;
-  double native_us = 1e300, slowed_us = 1e300;
-  for (int pair = 0; pair < 5; pair++) {
-    tracker.Start();
-    BurnCpu(1000000);
-    native_us = std::min(native_us, tracker.Stop()[kLabelElapsedUs]);
+  double work_us = 0.0;
+  const double native_us = TrackedBurnUs(&tracker, &work_us);
+  EXPECT_LT(native_us, work_us * 1.4);  // the base frequency adds nothing
 
-    SimulatedHardware::SetCpuFreqGhz(1.5);  // half of the 3.0 base
-    tracker.Start();
-    BurnCpu(1000000);
-    slowed_us = std::min(slowed_us, tracker.Stop()[kLabelElapsedUs]);
-    SimulatedHardware::SetCpuFreqGhz(0.0);
-  }
+  SimulatedHardware::SetCpuFreqGhz(1.5);  // half of the 3.0 base
+  const double slowed_us = TrackedBurnUs(&tracker, &work_us);
+  SimulatedHardware::SetCpuFreqGhz(0.0);
 
-  // ~2x slower elapsed (generous bounds for scheduler noise).
-  EXPECT_GT(slowed_us, native_us * 1.4);
+  // ~2x the work's own time (generous bound).
+  EXPECT_GT(slowed_us, work_us * 1.4);
   EXPECT_DOUBLE_EQ(SimulatedHardware::EffectiveFreqGhz(),
                    SimulatedHardware::kBaseFreqGhz);
 }
