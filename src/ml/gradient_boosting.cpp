@@ -111,25 +111,11 @@ bool GradientBoosting::BuildScorer() {
     const FeatureSplit &split = splits[i];
     if (scorer.features.empty() || scorer.features.back().feature != split.feature) {
       const uint32_t at = static_cast<uint32_t>(i);
-      scorer.features.push_back({split.feature, at, at, 0, 0});
+      scorer.features.push_back({split.feature, at, at});
     }
     scorer.features.back().end++;
     scorer.thresholds.push_back(split.threshold);
     scorer.tree_masks.push_back(uint64_t{split.tree} << 32 | split.mask);
-  }
-  // A mask always clears at least one leaf, so ~0 marks a tree not seen.
-  std::vector<uint32_t> all(trees_.size(), ~uint32_t{0});
-  for (Scorer::FeatureRange &range : scorer.features) {
-    for (uint32_t i = range.begin; i < range.end; i++) {
-      all[scorer.tree_masks[i] >> 32] &= static_cast<uint32_t>(scorer.tree_masks[i]);
-    }
-    range.all_begin = static_cast<uint32_t>(scorer.all_fail.size());
-    for (size_t h = 0; h < all.size(); h++) {
-      if (all[h] == ~uint32_t{0}) continue;
-      scorer.all_fail.push_back(uint64_t{h} << 32 | all[h]);
-      all[h] = ~uint32_t{0};
-    }
-    range.all_end = static_cast<uint32_t>(scorer.all_fail.size());
   }
   scorer_ = std::move(scorer);
   return true;
@@ -142,30 +128,13 @@ void GradientBoosting::ScoreRow(const double *x, uint32_t *exits,
   std::fill(exits, exits + trees, ~uint32_t{0});
   const double *thresholds = s.thresholds.data();
   const uint64_t *tree_masks = s.tree_masks.data();
-  auto apply = [exits](uint64_t tree_mask) {
-    exits[tree_mask >> 32] &= static_cast<uint32_t>(tree_mask);
-  };
-  auto fail = [&](uint32_t i) { apply(tree_masks[i]); };
   for (const Scorer::FeatureRange &range : s.features) {
     const double v = x[range.feature];
-    // The walk goes left when v <= threshold, and then also at every later
-    // (larger) threshold, so the row fails a prefix of the range. NaN fails
-    // every split and goes right, as in the walk.
-    if (!(v <= thresholds[range.end - 1])) {
-      // The whole range (extrapolating, or NaN): one AND per tree.
-      for (uint32_t j = range.all_begin; j < range.all_end; j++) apply(s.all_fail[j]);
-      continue;
+    // The walk goes left when v <= threshold: then it does so at every
+    // later split too. NaN fails them all and goes right, as in the walk.
+    for (uint32_t i = range.begin, end = range.end; i < end && !(v <= thresholds[i]); i++) {
+      exits[tree_masks[i] >> 32] &= static_cast<uint32_t>(tree_masks[i]);
     }
-    // Failing the fourth split of a run means failing all four, so a long
-    // prefix takes one comparison per four splits.
-    uint32_t i = range.begin;
-    for (; i + 4 <= range.end && !(v <= thresholds[i + 3]); i += 4) {
-      fail(i);
-      fail(i + 1);
-      fail(i + 2);
-      fail(i + 3);
-    }
-    for (; i < range.end && !(v <= thresholds[i]); i++) fail(i);
   }
   // Each bitvector becomes its exit leaf's index in s.leaves.
   for (size_t h = 0; h < trees; h++) {
@@ -176,9 +145,8 @@ void GradientBoosting::ScoreRow(const double *x, uint32_t *exits,
     const size_t lanes = std::min(kLanes, k - c);
     double acc[kLanes] = {};
     for (size_t j = 0; j < lanes; j++) acc[j] = base_[c + j];
-    const double *leaves = s.leaves.data() + c;
     for (size_t h = 0; h < trees; h++) {
-      const double *leaf = leaves + size_t{exits[h]} * s.stride;
+      const double *leaf = s.leaves.data() + size_t{exits[h]} * s.stride + c;
       // Unrolled, so the sums stay in registers across the trees.
 #pragma GCC unroll kLanes
       for (size_t j = 0; j < kLanes; j++) acc[j] += leaf[j];

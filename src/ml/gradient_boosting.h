@@ -52,16 +52,12 @@ class GradientBoosting : public Regressor {
     struct FeatureRange {
       uint32_t feature;
       uint32_t begin, end;
-      /// all_fail[all_begin, all_end): per tree testing `feature`, the AND
-      /// of its masks here, for a row that fails every split on it.
-      uint32_t all_begin, all_end;
     };
     std::vector<FeatureRange> features;
     /// Per split: its threshold, and its tree in the high half of
     /// tree_masks with its mask in the low half.
     std::vector<double> thresholds;
     std::vector<uint64_t> tree_masks;
-    std::vector<uint64_t> all_fail;  ///< same packing as tree_masks
     /// Per tree, the index of its first leaf in `leaves`; its size is the
     /// tree count, so a scorer never indexes past its own arrays.
     std::vector<uint32_t> first_leaf;

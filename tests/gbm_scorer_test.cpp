@@ -225,14 +225,17 @@ TEST(GbmScorerTest, MatchesWalkOnOuRunnerSweep) {
 TEST(GbmScorerTest, UnfittedAndEmptyFitPredictBase) {
   GradientBoosting unfitted;
   EXPECT_TRUE(unfitted.Predict({1.0, 2.0}).empty());
-  Matrix x(0, 2), y(0, 3), out;
-  GradientBoosting empty;
-  empty.Fit(x, y);
-  EXPECT_EQ(empty.Predict({1.0, 2.0}), std::vector<double>(3, 0.0));
-  Matrix one(1, 2);
-  empty.PredictBatch(one, &out);
-  ASSERT_EQ(out.cols(), 3u);
-  EXPECT_EQ(out.At(0, 2), 0.0);
+  // 11 outputs take a second accumulator chunk over an empty leaf array.
+  for (size_t k : {size_t{3}, size_t{11}}) {
+    Matrix x(0, 2), y(0, k), out;
+    GradientBoosting empty;
+    empty.Fit(x, y);
+    EXPECT_EQ(empty.Predict({1.0, 2.0}), std::vector<double>(k, 0.0));
+    Matrix one(1, 2);
+    empty.PredictBatch(one, &out);
+    ASSERT_EQ(out.cols(), k);
+    EXPECT_EQ(out.At(0, k - 1), 0.0);
+  }
 }
 
 // --- Structural checks in the tree loader ------------------------------------
@@ -293,6 +296,22 @@ TEST(TreePersistenceTest, HandMadeTreeLoadsAndPredicts) {
   EXPECT_EQ(gbm->Predict({0.5}), (std::vector<double>{10.5, 21.0}));
   EXPECT_EQ(gbm->Predict({0.75}), (std::vector<double>{11.5, 22.0}));
   EXPECT_EQ(gbm->Predict({std::nan("")}), (std::vector<double>{11.5, 22.0}));
+}
+
+TEST(TreePersistenceTest, GbmFileWithNoTreesPredictsBase) {
+  std::vector<double> base;
+  for (size_t j = 0; j < 10; j++) base.push_back(0.25 * static_cast<double>(j));
+  auto gbm = LoadGbm(base, ByteWriter(), 0);
+  ASSERT_NE(gbm, nullptr);
+  EXPECT_EQ(gbm->Predict({0.5}), base);
+  Matrix rows, out;
+  rows.AppendRow({0.5});
+  rows.AppendRow({std::nan("")});
+  gbm->PredictBatch(rows, &out);
+  ASSERT_EQ(out.cols(), base.size());
+  for (size_t r = 0; r < out.rows(); r++) {
+    for (size_t j = 0; j < base.size(); j++) EXPECT_EQ(out.At(r, j), base[j]);
+  }
 }
 
 TEST(GbmScorerTest, NaNThresholdFailsEveryRow) {
