@@ -307,8 +307,10 @@ int main(int argc, char **argv) {
   // --- JSON artifact ---------------------------------------------------------
   FILE *f = std::fopen(out_path.c_str(), "w");
   if (f != nullptr) {
-    std::fprintf(f, "{\n  \"bench\": \"autonomy\",\n  \"mode\": \"%s\",\n",
-                 smoke ? "smoke" : "bench");
+    std::fprintf(f,
+                 "{\n  \"bench\": \"autonomy\",\n  \"mode\": \"%s\",\n"
+                 "  \"stamp\": %s,\n",
+                 smoke ? "smoke" : "bench", BenchStamp().c_str());
     std::fprintf(f, "  \"rows\": %d,\n  \"statements\": %zu,\n", rows,
                  workload.statements.size());
     std::fprintf(f, "  \"configs\": [\n");

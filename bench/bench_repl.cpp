@@ -214,14 +214,14 @@ int main(int argc, char **argv) {
   }
   std::fprintf(
       f,
-      "{\n  \"mode\": \"%s\",\n"
+      "{\n  \"mode\": \"%s\",\n  \"stamp\": %s,\n"
       "  \"steady_state\": {\"rows\": %zu, \"write_rows_per_s\": %s, "
       "\"apply_records_per_s\": %s, \"lag_bytes_mean\": %s, "
       "\"lag_bytes_p95\": %s, \"lag_bytes_max\": %s, \"drain_ms\": %s},\n"
       "  \"failover\": {\"rows\": %zu, \"failover_ms\": %s, "
       "\"promote_ok\": %s, \"committed\": %zu, \"recovered\": %zu, "
       "\"lost\": %zu}\n}\n",
-      smoke ? "smoke" : "bench", steady_rows,
+      smoke ? "smoke" : "bench", BenchStamp().c_str(), steady_rows,
       Fmt(static_cast<double>(steady_rows) / write_seconds).c_str(),
       Fmt(apply_rps).c_str(), Fmt(lag_mean).c_str(), Fmt(lag_p95).c_str(),
       Fmt(lag_max).c_str(), Fmt(drain_ms).c_str(), failover_rows,

@@ -271,8 +271,8 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "FAIL: cannot write %s\n", out_path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"mode\": \"%s\",\n  \"grid\": [\n",
-               smoke ? "smoke" : "bench");
+  std::fprintf(f, "{\n  \"mode\": \"%s\",\n  \"stamp\": %s,\n  \"grid\": [\n",
+               smoke ? "smoke" : "bench", BenchStamp().c_str());
   for (size_t i = 0; i < grid.size(); i++) {
     const GridResult &r = grid[i];
     std::fprintf(f,

@@ -193,7 +193,8 @@ int main(int argc, char **argv) {
     std::printf("FAIL: cannot open %s\n", out_path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"mode\": \"%s\",\n", smoke ? "smoke" : "bench");
+  std::fprintf(f, "{\n  \"mode\": \"%s\",\n  \"stamp\": %s,\n",
+               smoke ? "smoke" : "bench", BenchStamp().c_str());
   std::fprintf(f, "  \"rows\": %llu,\n  \"table_pages\": %llu,\n"
                "  \"pool_pages\": %lld,\n  \"hot_pool_pages\": %lld,\n",
                static_cast<unsigned long long>(rows),

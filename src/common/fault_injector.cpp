@@ -31,14 +31,6 @@ void FaultInjector::Arm(const std::string &point, FaultSpec spec) {
   state.hits = 0;
 }
 
-void FaultInjector::Disarm(const std::string &point) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = points_.find(point);
-  if (it == points_.end() || !it->second.armed) return;
-  it->second.armed = false;
-  armed_points_.fetch_sub(1, std::memory_order_relaxed);
-}
-
 void FaultInjector::Reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   points_.clear();

@@ -121,7 +121,6 @@ class FaultInjector {
   bool Armed() const { return armed_points_.load(std::memory_order_relaxed) > 0; }
 
   void Arm(const std::string &point, FaultSpec spec);
-  void Disarm(const std::string &point);
   /// Disarms every point and clears all hit/fire counters.
   void Reset();
   /// Reseeds the probability RNG (deterministic replay of random schedules).

@@ -4,15 +4,6 @@
 
 namespace mb2 {
 
-uint32_t TypeSize(TypeId type) {
-  switch (type) {
-    case TypeId::kInteger: return 8;
-    case TypeId::kDouble: return 8;
-    case TypeId::kVarchar: return 16;  // average assumption for planning
-  }
-  return 8;
-}
-
 const char *TypeName(TypeId type) {
   switch (type) {
     case TypeId::kInteger: return "INTEGER";

@@ -15,10 +15,6 @@ namespace mb2 {
 /// SQL types supported by the engine.
 enum class TypeId : uint8_t { kInteger, kDouble, kVarchar };
 
-/// Returns the nominal storage width in bytes for a type; varchars report
-/// their per-value length at runtime via Value::StorageSize().
-uint32_t TypeSize(TypeId type);
-
 const char *TypeName(TypeId type);
 
 /// Three-way comparison: -1, 0 or 1. NaN is neither less than nor equal to

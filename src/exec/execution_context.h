@@ -22,14 +22,6 @@ namespace mb2 {
 struct Batch {
   std::vector<Tuple> rows;
   std::vector<SlotId> slots;
-
-  size_t NumRows() const { return rows.size(); }
-  double AvgTupleBytes() const {
-    if (rows.empty()) return 0.0;
-    uint64_t total = 0;
-    for (const auto &r : rows) total += TupleSize(r);
-    return static_cast<double>(total) / static_cast<double>(rows.size());
-  }
 };
 
 class ExecutionContext {
@@ -42,13 +34,6 @@ class ExecutionContext {
   Catalog *catalog() const { return catalog_; }
   SettingsManager *settings() const { return settings_; }
   ExecutionMode mode() const { return mode_; }
-  void set_mode(ExecutionMode mode) { mode_ = mode; }
-  /// OU exec_mode feature. Vectorized shares the compiled feature class
-  /// (both remove the interpreter's per-attribute dispatch); models trained
-  /// on modes 0/1 stay applicable.
-  double ModeFeature() const {
-    return mode_ == ExecutionMode::kInterpret ? 0.0 : 1.0;
-  }
 
   /// Simulated network sink written by the OUTPUT OU.
   std::vector<uint8_t> &output_buffer() { return output_buffer_; }

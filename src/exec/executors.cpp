@@ -11,6 +11,7 @@
 #include "index/bplus_tree.h"
 #include "metrics/metrics_collector.h"
 #include "metrics/work_stats.h"
+#include "modeling/node_ous.h"
 
 namespace mb2 {
 
@@ -26,16 +27,51 @@ size_t VectorBlockRows(ExecutionContext *ctx) {
   return knob > 0 ? static_cast<size_t>(knob) : 1;
 }
 
-/// Evaluates `expr` over every row of `batch`, keeping matches. Tracked as
-/// the ARITHMETIC (filter) OU. The interpret path walks the expression tree
+/// One execution's OU list for a plan node (modeling/node_ous.h), which the
+/// node's executor walks in order: each phase of its work opens the next
+/// OU's scope with the features of the counts in `rows` so far. A phase
+/// that counts what its work produced stores the count in `rows` and calls
+/// Retake() before it ends.
+class NodeOuList {
+ public:
+  NodeOuList(const PlanNode &node, ExecutionContext *ctx)
+      : node_(node), ctx_(ctx) {}
+
+  NodeRows rows;
+
+  OuTrackerScope Track() {
+    TranslatedOu ou = Entry(next_++);
+    return OuTrackerScope(ou.type, std::move(ou.features));
+  }
+
+  /// Stops `scope`'s clock, then gives it the features of the OU Track()
+  /// last opened, retaken from `rows`.
+  void Retake(OuTrackerScope &scope) {
+    scope.Stop();
+    scope.MutableFeatures() = Entry(next_ - 1).features;
+  }
+
+ private:
+  TranslatedOu Entry(size_t i) const {
+    std::vector<TranslatedOu> ous;
+    AppendNodeOus(node_, rows, ctx_->mode(), *ctx_->catalog(), &ous);
+    MB2_ASSERT(i < ous.size(), "executor ran past its node's OU list");
+    return std::move(ous[i]);
+  }
+
+  const PlanNode &node_;
+  ExecutionContext *ctx_;
+  size_t next_ = 0;
+};
+
+/// Evaluates `expr` over every row of `batch`, keeping matches, as the next
+/// OU of `ous` (ARITHMETIC). The interpret path walks the expression tree
 /// per tuple; the compiled path runs the flattened program's per-row driver;
 /// the vectorized path runs its block driver (the per-row driver takes the
 /// blocks, or the whole filter, that hold varchars).
-void FilterBatch(const Expression &expr, ExecutionContext *ctx, Batch *batch) {
-  const double n = static_cast<double>(batch->NumRows());
-  OuTrackerScope scope(OuType::kArithmetic,
-                       {n, static_cast<double>(expr.Complexity()),
-                        ctx->ModeFeature()});
+void FilterBatch(const Expression &expr, ExecutionContext *ctx,
+                 NodeOuList &ous, Batch *batch) {
+  OuTrackerScope scope = ous.Track();
   std::vector<SlotId> *slots = batch->slots.empty() ? nullptr : &batch->slots;
   WorkStats::Current().tuples_processed += batch->rows.size();
   if (ctx->mode() == ExecutionMode::kVectorized &&
@@ -139,17 +175,14 @@ bool KeysEqual(const Tuple &a, const std::vector<uint32_t> &a_cols,
 /// over the tuples sitting in the version chains (gather by pointer), and
 /// only surviving rows are materialized into the batch — a selective scan
 /// skips the per-row copy for everything it rejects. The filter's work is
-/// part of the scan loop here, so the kSeqScan OU covers both and no
-/// separate ARITHMETIC OU is recorded; results are bit-identical to the
-/// materialize-then-filter path because blocks preserve slot order.
+/// part of the scan loop here, so the SEQ_SCAN OU covers both and the list
+/// holds no ARITHMETIC OU (ScanFusesFilter); results are bit-identical to
+/// the materialize-then-filter path because blocks preserve slot order.
 Status ExecSeqScanFused(const SeqScanPlan &plan, ExecutionContext *ctx,
-                        Table *table, SlotId num_slots,
-                        ExprProgram *predicate, Batch *out) {
-  FeatureVector features = MakeExecFeatures(
-      static_cast<double>(num_slots),
-      static_cast<double>(table->schema().NumColumns()),
-      table->schema().TupleByteSize(), 0.0, 0.0, 1.0, ctx->ModeFeature());
-  OuTrackerScope scope(OuType::kSeqScan, std::move(features));
+                        Table *table, SlotId num_slots, NodeOuList &ous,
+                        Batch *out) {
+  ExprProgram predicate(*plan.predicate);
+  OuTrackerScope scope = ous.Track();
 
   const size_t block = VectorBlockRows(ctx);
   const uint64_t read_ts = ctx->txn()->read_ts();
@@ -167,12 +200,12 @@ Status ExecSeqScanFused(const SeqScanPlan &plan, ExecutionContext *ctx,
     // tuples_processed counts the filter pass over visible rows, matching
     // the separate FilterBatch call of the unfused path.
     ws.tuples_processed += ptrs.size();
-    predicate->ForBlock(ptrs.data(), ptrs.size(),
-                        [&](size_t l, const Datum &keep) {
-                          if (!keep.IsTrue()) return;
-                          out->rows.push_back(*ptrs[l]);
-                          if (plan.with_slots) out->slots.push_back(slots[l]);
-                        });
+    predicate.ForBlock(ptrs.data(), ptrs.size(),
+                       [&](size_t l, const Datum &keep) {
+                         if (!keep.IsTrue()) return;
+                         out->rows.push_back(*ptrs[l]);
+                         if (plan.with_slots) out->slots.push_back(slots[l]);
+                       });
     ptrs.clear();
     slots.clear();
   };
@@ -191,10 +224,9 @@ Status ExecSeqScanFused(const SeqScanPlan &plan, ExecutionContext *ctx,
     if (ptrs.size() >= block) flush();
   }
   flush();
-  // Feature parity with the unfused path: cardinality = visible (pre-filter)
-  // rows, the count the scan itself emits there.
-  scope.MutableFeatures()[exec_feature::kCardinality] =
-      static_cast<double>(visible);
+  // As on the unfused path: the rows read before the filter.
+  ous.rows.out_rows = static_cast<double>(visible);
+  ous.Retake(scope);
   return Status::Ok();
 }
 
@@ -208,29 +240,22 @@ Status ExecSeqScanFused(const SeqScanPlan &plan, ExecutionContext *ctx,
 /// copies too, and the location match is what filters them. Output order is
 /// heap (page, index) order, not slot order.
 Status ExecSeqScanDisk(const SeqScanPlan &plan, ExecutionContext *ctx,
-                       Table *table, SlotId num_slots, Batch *out) {
+                       Table *table, SlotId num_slots, NodeOuList &ous,
+                       Batch *out) {
   TableHeap *heap = table->heap();
   BufferPool *pool = heap->pool();
   std::vector<HeapRow> staged;
   {
-    OuTrackerScope scope(
-        OuType::kPageRead,
-        {static_cast<double>(heap->NumPages()), 0.0,
-         static_cast<double>(num_slots),
-         static_cast<double>(pool->CapacityPages())});
+    OuTrackerScope scope = ous.Track();
     const uint64_t misses_before = pool->stats().misses;
     Status s = heap->ScanRows(&staged);
     if (!s.ok()) return s;
-    scope.MutableFeatures()[1] =
+    ous.rows.page_misses =
         static_cast<double>(pool->stats().misses - misses_before);
+    ous.Retake(scope);
   }
   {
-    FeatureVector features = MakeExecFeatures(
-        static_cast<double>(num_slots),
-        static_cast<double>(plan.columns.empty() ? table->schema().NumColumns()
-                                                 : plan.columns.size()),
-        table->schema().TupleByteSize(), 0.0, 0.0, 1.0, ctx->ModeFeature());
-    OuTrackerScope scope(OuType::kSeqScan, std::move(features));
+    OuTrackerScope scope = ous.Track();
     const TupleAccessor &accessor = *GetInterpretedAccessor();
     const uint64_t read_ts = ctx->txn()->read_ts();
     const uint64_t reader_txn = ctx->txn()->txn_id();
@@ -248,10 +273,10 @@ Status ExecSeqScanDisk(const SeqScanPlan &plan, ExecutionContext *ctx,
       EmitRow(ctx->mode(), accessor, hr.row, plan.columns, &out->rows);
       if (plan.with_slots) out->slots.push_back(hr.slot);
     }
-    scope.MutableFeatures()[exec_feature::kCardinality] =
-        static_cast<double>(out->rows.size());
+    ous.rows.out_rows = static_cast<double>(out->rows.size());
+    ous.Retake(scope);
   }
-  if (plan.predicate != nullptr) FilterBatch(*plan.predicate, ctx, out);
+  if (plan.predicate != nullptr) FilterBatch(*plan.predicate, ctx, ous, out);
   return Status::Ok();
 }
 
@@ -259,25 +284,18 @@ Status ExecSeqScan(const SeqScanPlan &plan, ExecutionContext *ctx, Batch *out) {
   Table *table = ctx->catalog()->GetTable(plan.table);
   if (table == nullptr) return Status::NotFound("table " + plan.table);
   const SlotId num_slots = table->NumSlots();
+  NodeOuList ous(plan, ctx);
+  ous.rows.in.rows = static_cast<double>(num_slots);
   if (table->storage() == TableStorage::kDisk) {
     // The fused fast path gathers &node->data pointers, which disk versions
     // don't have — disk scans always take the staged path.
-    return ExecSeqScanDisk(plan, ctx, table, num_slots, out);
+    return ExecSeqScanDisk(plan, ctx, table, num_slots, ous, out);
   }
-  if (ctx->mode() == ExecutionMode::kVectorized && plan.predicate != nullptr &&
-      plan.columns.empty()) {
-    ExprProgram predicate(*plan.predicate);
-    if (predicate.Supported()) {
-      return ExecSeqScanFused(plan, ctx, table, num_slots, &predicate, out);
-    }
+  if (ScanFusesFilter(plan, ctx->mode(), *table)) {
+    return ExecSeqScanFused(plan, ctx, table, num_slots, ous, out);
   }
   {
-    FeatureVector features = MakeExecFeatures(
-        static_cast<double>(num_slots),
-        static_cast<double>(plan.columns.empty() ? table->schema().NumColumns()
-                                                 : plan.columns.size()),
-        table->schema().TupleByteSize(), 0.0, 0.0, 1.0, ctx->ModeFeature());
-    OuTrackerScope scope(OuType::kSeqScan, std::move(features));
+    OuTrackerScope scope = ous.Track();
     out->rows.reserve(num_slots);
     const TupleAccessor &accessor = *GetInterpretedAccessor();
     Tuple row;
@@ -286,11 +304,10 @@ Status ExecSeqScan(const SeqScanPlan &plan, ExecutionContext *ctx, Batch *out) {
       EmitRow(ctx->mode(), accessor, row, plan.columns, &out->rows);
       if (plan.with_slots) out->slots.push_back(slot);
     }
-    // Output cardinality becomes the scan's cardinality feature.
-    scope.MutableFeatures()[exec_feature::kCardinality] =
-        static_cast<double>(out->rows.size());
+    ous.rows.out_rows = static_cast<double>(out->rows.size());
+    ous.Retake(scope);
   }
-  if (plan.predicate != nullptr) FilterBatch(*plan.predicate, ctx, out);
+  if (plan.predicate != nullptr) FilterBatch(*plan.predicate, ctx, ous, out);
   return Status::Ok();
 }
 
@@ -300,15 +317,10 @@ Status ExecIndexScan(const IndexScanPlan &plan, ExecutionContext *ctx,
   BPlusTree *index = ctx->catalog()->GetIndex(plan.index);
   if (table == nullptr) return Status::NotFound("table " + plan.table);
   if (index == nullptr) return Status::NotFound("index " + plan.index);
+  NodeOuList ous(plan, ctx);
+  ous.rows.in.rows = static_cast<double>(index->NumEntries());
   {
-    FeatureVector features = MakeExecFeatures(
-        0.0,
-        static_cast<double>(plan.columns.empty() ? table->schema().NumColumns()
-                                                 : plan.columns.size()),
-        table->schema().TupleByteSize(),
-        static_cast<double>(index->NumEntries()), 0.0, 1.0, ctx->ModeFeature());
-    OuTrackerScope scope(OuType::kIdxScan, std::move(features));
-
+    OuTrackerScope scope = ous.Track();
     std::vector<SlotId> slots;
     if (!plan.key_hi.empty()) {
       index->ScanRange(plan.key_lo, plan.key_hi, &slots, plan.limit);
@@ -326,10 +338,10 @@ Status ExecIndexScan(const IndexScanPlan &plan, ExecutionContext *ctx,
       if (plan.with_slots) out->slots.push_back(slot);
       if (plan.limit != 0 && out->rows.size() >= plan.limit) break;
     }
-    scope.MutableFeatures()[exec_feature::kNumRows] =
-        static_cast<double>(out->rows.size());
+    ous.rows.out_rows = static_cast<double>(out->rows.size());
+    ous.Retake(scope);
   }
-  if (plan.predicate != nullptr) FilterBatch(*plan.predicate, ctx, out);
+  if (plan.predicate != nullptr) FilterBatch(*plan.predicate, ctx, ous, out);
   return Status::Ok();
 }
 
@@ -348,13 +360,12 @@ Status ExecHashJoin(const HashJoinPlan &plan, ExecutionContext *ctx,
   // Join hash table: key hash -> row indexes. Pre-sized by the build count
   // (the paper's memory-normalization special case for join hash tables).
   std::unordered_map<uint64_t, std::vector<uint32_t>> ht;
-  const double build_n = static_cast<double>(build.NumRows());
-  const double payload = build.AvgTupleBytes();
+  NodeOuList ous(plan, ctx);
+  ous.rows.in = MeasureRows(build.rows);
+  ous.rows.probe = MeasureRows(probe.rows);
+  const double payload = ous.rows.in.width;
   {
-    FeatureVector features = MakeExecFeatures(
-        build_n, static_cast<double>(build.rows.empty() ? 0 : build.rows[0].size()),
-        payload, 0.0, payload, 1.0, ctx->ModeFeature());
-    OuTrackerScope scope(OuType::kHashJoinBuild, std::move(features));
+    OuTrackerScope scope = ous.Track();
     ht.reserve(build.rows.size());
     WorkStats &ws = WorkStats::Current();
     const std::vector<uint64_t> hashes =
@@ -379,17 +390,13 @@ Status ExecHashJoin(const HashJoinPlan &plan, ExecutionContext *ctx,
         static_cast<double>(ht.bucket_count()) * 16.0 +
         static_cast<double>(build.rows.size()) * (payload + 24.0);
     ws.alloc_bytes += static_cast<uint64_t>(ht_bytes);
-    scope.MutableFeatures()[exec_feature::kCardinality] =
-        static_cast<double>(ht.size());
     scope.SetMemoryBytes(ht_bytes);
+    ous.rows.distinct = static_cast<double>(ht.size());
+    ous.Retake(scope);
   }
 
   {
-    FeatureVector features = MakeExecFeatures(
-        static_cast<double>(probe.NumRows()),
-        static_cast<double>(probe.rows.empty() ? 0 : probe.rows[0].size()),
-        probe.AvgTupleBytes(), 0.0, payload, 1.0, ctx->ModeFeature());
-    OuTrackerScope scope(OuType::kHashJoinProbe, std::move(features));
+    OuTrackerScope scope = ous.Track();
     WorkStats &ws = WorkStats::Current();
     const std::vector<uint64_t> hashes =
         KeyHashes(ctx, probe.rows, plan.probe_keys);
@@ -413,8 +420,8 @@ Status ExecHashJoin(const HashJoinPlan &plan, ExecutionContext *ctx,
       }
     }
     ws.tuples_processed += probe.rows.size();
-    scope.MutableFeatures()[exec_feature::kCardinality] =
-        static_cast<double>(out->rows.size());
+    ous.rows.out_rows = static_cast<double>(out->rows.size());
+    ous.Retake(scope);
   }
   return Status::Ok();
 }
@@ -486,15 +493,11 @@ Status ExecAggregate(const AggregatePlan &plan, ExecutionContext *ctx,
 
   std::unordered_map<uint64_t, Group> groups;
   size_t num_groups = 0;
-  const double n = static_cast<double>(input.NumRows());
+  NodeOuList ous(plan, ctx);
+  ous.rows.in = MeasureRows(input.rows);
 
   {
-    FeatureVector features = MakeExecFeatures(
-        n, static_cast<double>(input.rows.empty() ? 0 : input.rows[0].size()),
-        input.AvgTupleBytes(), 0.0,
-        static_cast<double>(plan.group_by.size() * 8 + plan.terms.size() * 32),
-        1.0, ctx->ModeFeature());
-    OuTrackerScope scope(OuType::kAggBuild, std::move(features));
+    OuTrackerScope scope = ous.Track();
     WorkStats &ws = WorkStats::Current();
     // The compiled and vectorized modes evaluate each aggregate argument for
     // all rows up front with its program, so the grouping loop below only
@@ -558,22 +561,17 @@ Status ExecAggregate(const AggregatePlan &plan, ExecutionContext *ctx,
       }
     }
     ws.tuples_processed += input.rows.size();
-    scope.MutableFeatures()[exec_feature::kCardinality] =
-        static_cast<double>(num_groups);
     // The agg hash table grows with distinct keys (memory normalized by
     // cardinality, not input rows — Sec 4.3).
     scope.SetMemoryBytes(static_cast<double>(num_groups) *
                          (64.0 + plan.group_by.size() * 8.0 +
                           plan.terms.size() * 32.0));
+    ous.rows.distinct = static_cast<double>(num_groups);
+    ous.Retake(scope);
   }
 
   {
-    FeatureVector features = MakeExecFeatures(
-        static_cast<double>(num_groups),
-        static_cast<double>(plan.group_by.size() + plan.terms.size()),
-        static_cast<double>(plan.group_by.size() * 8 + plan.terms.size() * 8),
-        static_cast<double>(num_groups), 0.0, 1.0, ctx->ModeFeature());
-    OuTrackerScope scope(OuType::kAggProbe, std::move(features));
+    OuTrackerScope scope = ous.Track();
     out->rows.reserve(num_groups);
     auto emit = [&](Group &g) {
       Tuple row = std::move(g.keys);
@@ -600,7 +598,6 @@ Status ExecSort(const SortPlan &plan, ExecutionContext *ctx, Batch *out) {
   Status status = ExecuteNode(*plan.children[0], ctx, &input);
   if (!status.ok()) return status;
 
-  const double n = static_cast<double>(input.NumRows());
   auto cmp = [&plan](const Tuple &a, const Tuple &b) {
     WorkStats::Current().comparisons++;
     for (size_t i = 0; i < plan.sort_keys.size(); i++) {
@@ -614,26 +611,21 @@ Status ExecSort(const SortPlan &plan, ExecutionContext *ctx, Batch *out) {
     return false;
   };
 
+  NodeOuList ous(plan, ctx);
+  ous.rows.in = MeasureRows(input.rows);
+  ous.rows.distinct = DistinctKeys(input, plan.sort_keys);
+  const RowSet &in = ous.rows.in;
   {
-    FeatureVector features = MakeExecFeatures(
-        n, static_cast<double>(input.rows.empty() ? 0 : input.rows[0].size()),
-        input.AvgTupleBytes(), DistinctKeys(input, plan.sort_keys),
-        input.AvgTupleBytes(), 1.0, ctx->ModeFeature());
-    OuTrackerScope scope(OuType::kSortBuild, std::move(features));
+    OuTrackerScope scope = ous.Track();
     WorkStats &ws = WorkStats::Current();
     ws.tuples_processed += input.rows.size();
-    ws.alloc_bytes += static_cast<uint64_t>(n * input.AvgTupleBytes());
+    ws.alloc_bytes += static_cast<uint64_t>(in.rows * in.width);
     std::sort(input.rows.begin(), input.rows.end(), cmp);
-    scope.SetMemoryBytes(n * (input.AvgTupleBytes() + 24.0));
+    scope.SetMemoryBytes(in.rows * (in.width + 24.0));
   }
 
   {
-    const double out_n =
-        plan.limit != 0 ? std::min(n, static_cast<double>(plan.limit)) : n;
-    FeatureVector features = MakeExecFeatures(
-        out_n, static_cast<double>(input.rows.empty() ? 0 : input.rows[0].size()),
-        input.AvgTupleBytes(), 0.0, 0.0, 1.0, ctx->ModeFeature());
-    OuTrackerScope scope(OuType::kSortIterate, std::move(features));
+    OuTrackerScope scope = ous.Track();
     if (plan.limit != 0 && input.rows.size() > plan.limit) {
       input.rows.resize(plan.limit);
     }
@@ -653,11 +645,9 @@ Status ExecProjection(const ProjectionPlan &plan, ExecutionContext *ctx,
   Status status = ExecuteNode(*plan.children[0], ctx, &input);
   if (!status.ok()) return status;
 
-  uint32_t complexity = 0;
-  for (const auto &e : plan.exprs) complexity += e->Complexity();
-  FeatureVector features = {static_cast<double>(input.NumRows()),
-                            static_cast<double>(complexity), ctx->ModeFeature()};
-  OuTrackerScope scope(OuType::kArithmetic, std::move(features));
+  NodeOuList ous(plan, ctx);
+  ous.rows.in = MeasureRows(input.rows);
+  OuTrackerScope scope = ous.Track();
 
   if (ctx->mode() == ExecutionMode::kVectorized &&
       VectorizedProject(plan.exprs, VectorBlockRows(ctx), input.rows,
@@ -724,15 +714,9 @@ Status ExecInsert(const InsertPlan &plan, ExecutionContext *ctx, Batch *out) {
     rows = &child.rows;
   }
 
-  double avg_size = 0.0;
-  for (const auto &r : *rows) avg_size += TupleSize(r);
-  if (!rows->empty()) avg_size /= static_cast<double>(rows->size());
-
-  FeatureVector features = MakeExecFeatures(
-      static_cast<double>(rows->size()),
-      static_cast<double>(rows->empty() ? 0 : (*rows)[0].size()), avg_size, 0.0,
-      0.0, 1.0, ctx->ModeFeature());
-  OuTrackerScope scope(OuType::kInsert, std::move(features));
+  NodeOuList ous(plan, ctx);
+  ous.rows.in = MeasureRows(*rows);
+  OuTrackerScope scope = ous.Track();
   for (const auto &row : *rows) {
     Result<SlotId> slot = table->TryInsert(ctx->txn(), row);
     if (!slot.ok()) return slot.status();
@@ -752,11 +736,9 @@ Status ExecUpdate(const UpdatePlan &plan, ExecutionContext *ctx, Batch *out) {
              "update child must carry slots (set with_slots on the scan)");
 
   const auto indexes = ctx->catalog()->GetTableIndexes(plan.table);
-  FeatureVector features = MakeExecFeatures(
-      static_cast<double>(input.NumRows()),
-      static_cast<double>(plan.sets.size()), input.AvgTupleBytes(), 0.0, 0.0,
-      1.0, ctx->ModeFeature());
-  OuTrackerScope scope(OuType::kUpdate, std::move(features));
+  NodeOuList ous(plan, ctx);
+  ous.rows.in = MeasureRows(input.rows);
+  OuTrackerScope scope = ous.Track();
 
   for (size_t i = 0; i < input.rows.size(); i++) {
     Tuple new_row = input.rows[i];
@@ -804,11 +786,9 @@ Status ExecDelete(const DeletePlan &plan, ExecutionContext *ctx, Batch *out) {
              "delete child must carry slots (set with_slots on the scan)");
 
   const auto indexes = ctx->catalog()->GetTableIndexes(plan.table);
-  FeatureVector features = MakeExecFeatures(
-      static_cast<double>(input.NumRows()),
-      static_cast<double>(input.rows.empty() ? 0 : input.rows[0].size()),
-      input.AvgTupleBytes(), 0.0, 0.0, 1.0, ctx->ModeFeature());
-  OuTrackerScope scope(OuType::kDelete, std::move(features));
+  NodeOuList ous(plan, ctx);
+  ous.rows.in = MeasureRows(input.rows);
+  OuTrackerScope scope = ous.Track();
 
   for (size_t i = 0; i < input.rows.size(); i++) {
     status = table->Delete(ctx->txn(), input.slots[i]);
@@ -833,11 +813,9 @@ Status ExecOutput(const OutputPlan &plan, ExecutionContext *ctx, Batch *out) {
   Status status = ExecuteNode(*plan.children[0], ctx, out);
   if (!status.ok()) return status;
 
-  FeatureVector features = MakeExecFeatures(
-      static_cast<double>(out->NumRows()),
-      static_cast<double>(out->rows.empty() ? 0 : out->rows[0].size()),
-      out->AvgTupleBytes(), 0.0, 0.0, 1.0, ctx->ModeFeature());
-  OuTrackerScope scope(OuType::kOutput, std::move(features));
+  NodeOuList ous(plan, ctx);
+  ous.rows.in = MeasureRows(out->rows);
+  OuTrackerScope scope = ous.Track();
 
   // Serialize rows into the output buffer in the shared Value encoding.
   auto &wire = ctx->output_buffer();

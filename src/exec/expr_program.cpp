@@ -18,7 +18,8 @@ inline int CompareDatums(const Datum &a, const Datum &b) {
 
 }  // namespace
 
-ExprProgram::ExprProgram(const Expression &expr) {
+ExprProgram::ExprProgram(const Expression &expr)
+    : supported_(BlockDriverTakes(expr)) {
   Flatten(expr);
   // Constants never change, so the per-row driver finds them filled in.
   datums_.resize(nodes_.size());
@@ -27,6 +28,15 @@ ExprProgram::ExprProgram(const Expression &expr) {
       datums_[k] = Datum::Of(nodes_[k].constant);
     }
   }
+}
+
+bool ExprProgram::BlockDriverTakes(const Expression &expr) {
+  if (expr.type == ExprType::kConstant &&
+      expr.constant.type() == TypeId::kVarchar) {
+    return false;
+  }
+  return std::all_of(expr.children.begin(), expr.children.end(),
+                     [](const ExprPtr &c) { return BlockDriverTakes(*c); });
 }
 
 int32_t ExprProgram::Flatten(const Expression &expr) {
@@ -41,10 +51,7 @@ int32_t ExprProgram::Flatten(const Expression &expr) {
           columns_.end()) {
     columns_.push_back(expr.col_idx);
   }
-  if (expr.type == ExprType::kConstant) {
-    node.constant = expr.constant;
-    if (expr.constant.type() == TypeId::kVarchar) supported_ = false;
-  }
+  if (expr.type == ExprType::kConstant) node.constant = expr.constant;
   if (!expr.children.empty()) node.lhs = Flatten(*expr.children[0]);
   if (expr.children.size() > 1) node.rhs = Flatten(*expr.children[1]);
   const auto self = static_cast<int32_t>(nodes_.size());

@@ -104,6 +104,8 @@ class ExprProgram {
   /// False when the block driver can never take this program (it holds a
   /// varchar constant); every block then runs through the per-row driver.
   bool Supported() const { return supported_; }
+  /// Supported() of the program `expr` flattens to, without flattening it.
+  static bool BlockDriverTakes(const Expression &expr);
 
   /// Per-row driver. The result stays valid until the next call, and a
   /// varchar result points into `row` or into this program.
@@ -202,7 +204,7 @@ class ExprProgram {
 
   std::vector<Node> nodes_;
   std::vector<uint32_t> columns_;  // distinct columns the program reads
-  bool supported_ = true;
+  bool supported_;
   std::vector<Datum> datums_;        // per-row scratch, parallel to nodes_
   std::vector<Lanes> lanes_;         // per-block scratch, parallel to nodes_
   std::vector<const Tuple *> ptrs_;  // ForEach's block of row pointers

@@ -152,15 +152,22 @@ OuTrackerScope::OuTrackerScope(OuType ou, FeatureVector features)
   tracker_->Start();
 }
 
+void OuTrackerScope::Stop() {
+  if (!tracker_.has_value() || stopped_) return;  // span_ keeps its own clock
+  stopped_ = true;
+  labels_ = tracker_->Stop();
+  span_.Close(labels_[kLabelElapsedUs]);
+}
+
 OuTrackerScope::~OuTrackerScope() {
   if (!tracker_.has_value()) return;  // span_ closes on its own clock
-  const Labels labels = tracker_->Stop();
-  span_.Close(labels[kLabelElapsedUs]);
+  Stop();
   if (record_) {
     // Unchecked: the decision to record was latched at scope open. Going
     // through the Enabled() gate again would lose this record if collection
     // was disabled while the scope was in flight.
-    MetricsManager::Instance().RecordUnchecked(ou_, std::move(features_), labels);
+    MetricsManager::Instance().RecordUnchecked(ou_, std::move(features_),
+                                               labels_);
     MetricsManager::Instance().ScopeClosed();
   } else if (drift_sample_) {
     // The sample's features must match what the deployed model is served
@@ -168,7 +175,7 @@ OuTrackerScope::~OuTrackerScope() {
     if (SimulatedHardware::AppendContextFeature()) {
       features_.push_back(SimulatedHardware::EffectiveFreqGhz());
     }
-    DriftMonitor::Instance().Submit(ou_, std::move(features_), labels);
+    DriftMonitor::Instance().Submit(ou_, std::move(features_), labels_);
   }
 }
 

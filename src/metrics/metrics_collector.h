@@ -123,7 +123,7 @@ class MetricsManager {
 /// off the scope reads each switch once and does nothing else. Features may
 /// be finalized (or amended) before destruction via MutableFeatures(), since
 /// some features (e.g. true output cardinality during training) are only
-/// known after the work runs.
+/// known after the work runs; Stop() first keeps that out of the labels.
 class OuTrackerScope {
  public:
   OuTrackerScope(OuType ou, FeatureVector features);
@@ -131,9 +131,13 @@ class OuTrackerScope {
   MB2_DISALLOW_COPY_AND_MOVE(OuTrackerScope);
 
   FeatureVector &MutableFeatures() { return features_; }
+  /// Call before Stop(): the memory label is taken there.
   void SetMemoryBytes(double bytes) {
     if (tracker_.has_value()) tracker_->SetMemoryBytes(bytes);
   }
+  /// Ends the measured work: the labels and the span close here, and the
+  /// record is still emitted at scope exit. Later calls do nothing.
+  void Stop();
 
   /// Whether this scope will emit an OU record at exit (i.e. collection was
   /// enabled for this thread when the scope opened).
@@ -144,6 +148,8 @@ class OuTrackerScope {
   FeatureVector features_;
   bool record_;        ///< training mode: emit an OU record at scope exit
   bool drift_sample_;  ///< production mode: elected as a model-drift sample
+  bool stopped_ = false;
+  Labels labels_{};    ///< taken by Stop()
   ObsSpan span_;       ///< opens before the tracker starts, closes after
   /// Built only when it will measure: on a host with a PMU its constructor
   /// opens a perf-counter group.

@@ -5,22 +5,6 @@
 
 namespace mb2 {
 
-Matrix Matrix::FromRows(const std::vector<std::vector<double>> &rows) {
-  if (rows.empty()) return Matrix();
-  Matrix m(rows.size(), rows[0].size());
-  for (size_t r = 0; r < rows.size(); r++) {
-    MB2_ASSERT(rows[r].size() == m.cols_, "ragged rows");
-    for (size_t c = 0; c < m.cols_; c++) m.At(r, c) = rows[r][c];
-  }
-  return m;
-}
-
-std::vector<double> Matrix::Col(size_t c) const {
-  std::vector<double> out(rows_);
-  for (size_t r = 0; r < rows_; r++) out[r] = At(r, c);
-  return out;
-}
-
 Matrix Matrix::SelectRows(const std::vector<size_t> &idx) const {
   Matrix out(idx.size(), cols_);
   for (size_t i = 0; i < idx.size(); i++) {
@@ -207,21 +191,6 @@ void Gemm(const Matrix &a, const Matrix &b, Matrix *out, bool accumulate,
   if (a.rows() == 0 || b.cols() == 0) return;
   GemmKernel(a.RowPtr(0), b.RowPtr(0), out->RowPtr(0), a.rows(), k, b.cols(),
              accumulate);
-}
-
-void GemmTransposeB(const Matrix &a, const Matrix &b, Matrix *out,
-                    bool accumulate) {
-  MB2_ASSERT(a.cols() == b.cols(), "gemm inner dimension mismatch");
-  MB2_ASSERT(out != &a && out != &b, "gemm output aliases an input");
-  if (accumulate) {
-    MB2_ASSERT(out->rows() == a.rows() && out->cols() == b.rows(),
-               "gemm accumulate shape mismatch");
-  } else {
-    out->Resize(a.rows(), b.rows());
-  }
-  if (a.rows() == 0 || b.rows() == 0) return;
-  GemmTransposeBKernel(a.RowPtr(0), b.RowPtr(0), out->RowPtr(0), a.rows(),
-                       a.cols(), b.rows(), accumulate);
 }
 
 MB2_HOT_KERNEL_WIDE

@@ -24,8 +24,6 @@ class Matrix {
   Matrix(size_t rows, size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-  static Matrix FromRows(const std::vector<std::vector<double>> &rows);
-
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
 
@@ -38,7 +36,6 @@ class Matrix {
   std::vector<double> Row(size_t r) const {
     return {RowPtr(r), RowPtr(r) + cols_};
   }
-  std::vector<double> Col(size_t c) const;
 
   /// Returns the sub-matrix made of the given row indexes.
   Matrix SelectRows(const std::vector<size_t> &idx) const;
@@ -91,10 +88,6 @@ void GemmTransposeBKernel(const double *a, const double *b, double *c,
 /// A.rows() × B.cols(); *out must not alias A or B.
 void Gemm(const Matrix &a, const Matrix &b, Matrix *out,
           bool accumulate = false, size_t b_rows = SIZE_MAX);
-
-/// *out = A · Bᵀ (or += with `accumulate`), B given row-major as (m×k).
-void GemmTransposeB(const Matrix &a, const Matrix &b, Matrix *out,
-                    bool accumulate = false);
 
 /// Deterministic exp() replacement shared by the single-row and batched
 /// kernel-regression paths. Branch-free (input clamped to ±708, range

@@ -42,13 +42,6 @@ class Regressor {
   /// batching changes throughput, never results. Handles 0-row batches.
   virtual void PredictBatch(const Matrix &x, Matrix *out) const = 0;
 
-  /// Convenience wrapper over PredictBatch with a pre-sized output.
-  Matrix PredictAll(const Matrix &x) const {
-    Matrix out;
-    PredictBatch(x, &out);
-    return out;
-  }
-
   virtual MlAlgorithm algorithm() const = 0;
   const char *Name() const { return MlAlgorithmName(algorithm()); }
 

@@ -159,28 +159,6 @@ void ModelBot::UpdateFallbackLabels(OuType type, const Matrix &y_raw) {
   fallback_labels_[type] = fallback;
 }
 
-Labels ModelBot::PredictOu(const TranslatedOu &ou, bool *degraded) const {
-  std::shared_lock<std::shared_mutex> lock(models_mutex_);
-  const OuModel *model = GetOuModelUnlocked(ou.type);
-  if (model == nullptr) {
-    // Degradation policy: no usable model for this OU (never trained, or its
-    // file was corrupt/deleted). Serve the interference-free trimmed mean of
-    // the training labels and flag the prediction; zeros only when the OU
-    // was never observed at all.
-    if (degraded != nullptr) *degraded = true;
-    auto it = fallback_labels_.find(ou.type);
-    if (it != fallback_labels_.end()) return it->second;
-    Labels zero{};
-    return zero;
-  }
-  if (SimulatedHardware::AppendContextFeature()) {
-    FeatureVector with_context = ou.features;
-    with_context.push_back(SimulatedHardware::EffectiveFreqGhz());
-    return model->Predict(with_context);
-  }
-  return model->Predict(ou.features);
-}
-
 std::vector<Labels> ModelBot::PredictOus(const std::vector<TranslatedOu> &ous,
                                          uint32_t *degraded_ous,
                                          ThreadPool *pool) const {
@@ -340,20 +318,16 @@ void ModelBot::ExportObsMetrics() const {
 
 QueryPrediction ModelBot::PredictQuery(const PlanNode &plan,
                                        double exec_mode_override) const {
-  QueryPrediction prediction;
-  prediction.ous = translator_.TranslateQuery(plan, exec_mode_override);
-  prediction.total.fill(0.0);
-  prediction.per_ou = PredictOus(prediction.ous, &prediction.degraded_ous);
-  for (const Labels &labels : prediction.per_ou) {
-    for (size_t j = 0; j < kNumLabels; j++) prediction.total[j] += labels[j];
-  }
-  prediction.degraded = prediction.degraded_ous > 0;
-  return prediction;
+  return PredictTranslated(translator_.TranslateQuery(plan, exec_mode_override));
 }
 
 QueryPrediction ModelBot::PredictAction(const Action &action) const {
+  return PredictTranslated(translator_.TranslateAction(action));
+}
+
+QueryPrediction ModelBot::PredictTranslated(std::vector<TranslatedOu> ous) const {
   QueryPrediction prediction;
-  prediction.ous = translator_.TranslateAction(action);
+  prediction.ous = std::move(ous);
   prediction.total.fill(0.0);
   prediction.per_ou = PredictOus(prediction.ous, &prediction.degraded_ous);
   for (const Labels &labels : prediction.per_ou) {

@@ -184,7 +184,8 @@ class ModelBot {
   void ExportObsMetrics() const;
 
  private:
-  Labels PredictOu(const TranslatedOu &ou, bool *degraded) const;
+  /// Prices translated OUs: per-OU labels and their sum.
+  QueryPrediction PredictTranslated(std::vector<TranslatedOu> ous) const;
   void UpdateFallbackLabels(OuType type, const Matrix &y_raw);
   /// Map lookup with models_mutex_ already held (shared or unique). The
   /// public GetOuModel takes the lock itself; internal serving paths hold

@@ -28,19 +28,6 @@ void OuModel::Train(const Matrix &x, const Matrix &y_raw,
   model_ = std::move(selection.final_model);
 }
 
-void OuModel::TrainWith(MlAlgorithm algo, const Matrix &x, const Matrix &y_raw,
-                        bool normalize, uint64_t seed) {
-  normalize_ = normalize;
-  const Matrix y = NormalizeDataset(x, y_raw);
-  const TrainTestSplit split = SplitData(x, y, 0.2, seed);
-  auto model = CreateRegressor(algo, seed);
-  model->Fit(split.x_train, split.y_train);
-  test_errors_[algo] = AvgRelativeError(*model, split.x_test, split.y_test);
-  best_algorithm_ = algo;
-  model_ = CreateRegressor(algo, seed);
-  model_->Fit(x, y);
-}
-
 Labels OuModel::Predict(const FeatureVector &features) const {
   MB2_ASSERT(model_ != nullptr, "predict before train");
   const std::vector<double> raw = model_->Predict(features);

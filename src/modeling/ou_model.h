@@ -28,10 +28,6 @@ class OuModel {
              const std::vector<MlAlgorithm> &algorithms, bool normalize = true,
              uint64_t seed = 42, ThreadPool *pool = nullptr);
 
-  /// Convenience: trains a specific algorithm without selection.
-  void TrainWith(MlAlgorithm algo, const Matrix &x, const Matrix &y_raw,
-                 bool normalize = true, uint64_t seed = 42);
-
   Labels Predict(const FeatureVector &features) const;
 
   /// Batched Predict: one Regressor::PredictBatch over all feature vectors,

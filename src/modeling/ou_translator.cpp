@@ -1,8 +1,10 @@
 #include "modeling/ou_translator.h"
 
+#include <algorithm>
+
 #include "index/bplus_tree.h"
-#include "index/index_builder.h"
 #include "storage/table.h"
+#include "wal/log_record.h"
 
 namespace mb2 {
 
@@ -12,183 +14,75 @@ double SchemaTupleBytes(const Schema &schema) {
   return static_cast<double>(schema.TupleByteSize());
 }
 
+/// The rows a node hands its parent, estimated. A DML node emits one row,
+/// its count.
+RowSet EstimatedOutput(const PlanNode &node) {
+  const bool dml = node.type == PlanNodeType::kInsert ||
+                   node.type == PlanNodeType::kUpdate ||
+                   node.type == PlanNodeType::kDelete;
+  return {dml ? 1.0 : node.estimated_rows,
+          static_cast<double>(node.output_schema.NumColumns()),
+          SchemaTupleBytes(node.output_schema)};
+}
+
 }  // namespace
 
 std::vector<TranslatedOu> OuTranslator::TranslateQuery(
     const PlanNode &plan, double exec_mode_override) const {
-  // Vectorized (knob value 2) shares the compiled exec_mode feature class,
-  // mirroring ExecutionContext::ModeFeature at collection time.
-  const double mode =
+  const ExecutionMode mode =
       exec_mode_override >= 0.0
-          ? exec_mode_override
-          : (settings_->GetInt("execution_mode") >= 1 ? 1.0 : 0.0);
+          ? static_cast<ExecutionMode>(static_cast<int64_t>(exec_mode_override))
+          : settings_->GetExecutionMode();
   std::vector<TranslatedOu> out;
-  TranslateNode(plan, mode, &out);
+  TranslatePlan(plan, mode, &out);
   return out;
 }
 
-void OuTranslator::TranslateNode(const PlanNode &node, double mode,
+void OuTranslator::TranslatePlan(const PlanNode &node, ExecutionMode mode,
                                  std::vector<TranslatedOu> *out) const {
   // Children first: execution is bottom-up (operator-at-a-time).
-  for (const auto &child : node.children) TranslateNode(*child, mode, out);
+  for (const auto &child : node.children) TranslatePlan(*child, mode, out);
+  AppendNodeOus(node, EstimatedRows(node), mode, *catalog_, out);
+}
 
+NodeRows OuTranslator::EstimatedRows(const PlanNode &node) const {
+  NodeRows rows;
+  if (!node.children.empty()) rows.in = EstimatedOutput(*node.children[0]);
+  if (node.children.size() > 1) rows.probe = EstimatedOutput(*node.children[1]);
+  rows.out_rows = node.estimated_rows;
+  rows.distinct = node.estimated_cardinality;
   switch (node.type) {
     case PlanNodeType::kSeqScan: {
+      // The scan reads every row and emits each visible one to its filter.
       const auto *scan = node.As<SeqScanPlan>();
-      const double table_rows = estimator_->TableRows(scan->table);
-      // Disk tables stage their heap pages before the scan proper
-      // (ExecSeqScanDisk), so prepend the PAGE_READ OU. Training measured
-      // the actual buffer-pool miss count; serving estimates it as the
-      // pages that cannot fit the pool — 0 when the table fits (hot cache),
-      // pages - pool when it cannot (the steady-state eviction regime).
+      rows.in.rows = rows.out_rows = estimator_->TableRows(scan->table);
+      // A disk table misses the buffer pool on the pages that do not fit
+      // it: none when the table fits (hot cache), pages - pool otherwise
+      // (the steady-state eviction regime).
       const Table *table = catalog_->GetTable(scan->table);
       if (table != nullptr && table->storage() == TableStorage::kDisk) {
-        const double pages = static_cast<double>(table->heap()->NumPages());
-        const double pool =
-            static_cast<double>(table->heap()->pool()->CapacityPages());
-        const double est_misses = pages > pool ? pages - pool : 0.0;
-        out->push_back(
-            {OuType::kPageRead, {pages, est_misses, table_rows, pool}});
-      }
-      // The scan OU itself emits every visible row (the predicate is a
-      // separate ARITHMETIC OU), so its output-cardinality feature is the
-      // table row count — matching what training-time execution records.
-      out->push_back({OuType::kSeqScan,
-                      MakeExecFeatures(table_rows,
-                                       node.output_schema.NumColumns(),
-                                       SchemaTupleBytes(node.output_schema),
-                                       table_rows, 0.0, 1.0, mode)});
-      if (scan->predicate != nullptr) {
-        out->push_back({OuType::kArithmetic,
-                        {table_rows,
-                         static_cast<double>(scan->predicate->Complexity()),
-                         mode}});
+        TableHeap *heap = table->heap();
+        rows.page_misses =
+            std::max(0.0, static_cast<double>(heap->NumPages()) -
+                              static_cast<double>(heap->pool()->CapacityPages()));
       }
       break;
     }
     case PlanNodeType::kIndexScan: {
       const auto *scan = node.As<IndexScanPlan>();
       const BPlusTree *index = catalog_->GetIndex(scan->index);
-      const double entries =
-          index != nullptr ? static_cast<double>(index->NumEntries())
-                           : estimator_->TableRows(scan->table);
-      out->push_back({OuType::kIdxScan,
-                      MakeExecFeatures(node.estimated_rows,
-                                       node.output_schema.NumColumns(),
-                                       SchemaTupleBytes(node.output_schema),
-                                       entries, 0.0, 1.0, mode)});
-      if (scan->predicate != nullptr) {
-        out->push_back({OuType::kArithmetic,
-                        {node.estimated_rows,
-                         static_cast<double>(scan->predicate->Complexity()),
-                         mode}});
-      }
+      rows.in.rows = index != nullptr ? static_cast<double>(index->NumEntries())
+                                      : estimator_->TableRows(scan->table);
       break;
     }
-    case PlanNodeType::kHashJoin: {
-      const PlanNode &build = *node.children[0];
-      const PlanNode &probe = *node.children[1];
-      const double payload = SchemaTupleBytes(build.output_schema);
-      out->push_back({OuType::kHashJoinBuild,
-                      MakeExecFeatures(build.estimated_rows,
-                                       build.output_schema.NumColumns(), payload,
-                                       node.estimated_cardinality, payload, 1.0,
-                                       mode)});
-      out->push_back({OuType::kHashJoinProbe,
-                      MakeExecFeatures(probe.estimated_rows,
-                                       probe.output_schema.NumColumns(),
-                                       SchemaTupleBytes(probe.output_schema),
-                                       node.estimated_rows, payload, 1.0, mode)});
+    case PlanNodeType::kInsert:
+      // Literal rows are known exactly.
+      if (node.children.empty()) rows.in = MeasureRows(node.As<InsertPlan>()->rows);
       break;
-    }
-    case PlanNodeType::kAggregate: {
-      const auto *agg = node.As<AggregatePlan>();
-      const PlanNode &child = *node.children[0];
-      const double payload = static_cast<double>(agg->group_by.size() * 8 +
-                                                 agg->terms.size() * 32);
-      out->push_back({OuType::kAggBuild,
-                      MakeExecFeatures(child.estimated_rows,
-                                       child.output_schema.NumColumns(),
-                                       SchemaTupleBytes(child.output_schema),
-                                       node.estimated_rows, payload, 1.0, mode)});
-      out->push_back(
-          {OuType::kAggProbe,
-           MakeExecFeatures(node.estimated_rows,
-                            node.output_schema.NumColumns(),
-                            SchemaTupleBytes(node.output_schema),
-                            node.estimated_rows, 0.0, 1.0, mode)});
+    default:
       break;
-    }
-    case PlanNodeType::kSort: {
-      const auto *sort = node.As<SortPlan>();
-      const PlanNode &child = *node.children[0];
-      const double bytes = SchemaTupleBytes(child.output_schema);
-      out->push_back({OuType::kSortBuild,
-                      MakeExecFeatures(child.estimated_rows,
-                                       child.output_schema.NumColumns(), bytes,
-                                       node.estimated_cardinality, bytes, 1.0,
-                                       mode)});
-      const double out_rows =
-          sort->limit != 0
-              ? std::min(child.estimated_rows, static_cast<double>(sort->limit))
-              : child.estimated_rows;
-      out->push_back({OuType::kSortIterate,
-                      MakeExecFeatures(out_rows,
-                                       child.output_schema.NumColumns(), bytes,
-                                       0.0, 0.0, 1.0, mode)});
-      break;
-    }
-    case PlanNodeType::kProjection: {
-      const auto *proj = node.As<ProjectionPlan>();
-      uint32_t complexity = 0;
-      for (const auto &e : proj->exprs) complexity += e->Complexity();
-      out->push_back({OuType::kArithmetic,
-                      {node.children[0]->estimated_rows,
-                       static_cast<double>(complexity), mode}});
-      break;
-    }
-    case PlanNodeType::kLimit:
-      break;  // no measurable work of its own
-    case PlanNodeType::kInsert: {
-      const auto *insert = node.As<InsertPlan>();
-      const Table *table = catalog_->GetTable(insert->table);
-      const double bytes =
-          table != nullptr ? SchemaTupleBytes(table->schema()) : 64.0;
-      const double cols =
-          table != nullptr ? table->schema().NumColumns() : 8.0;
-      out->push_back({OuType::kInsert,
-                      MakeExecFeatures(node.estimated_rows, cols, bytes, 0.0,
-                                       0.0, 1.0, mode)});
-      break;
-    }
-    case PlanNodeType::kUpdate: {
-      const auto *update = node.As<UpdatePlan>();
-      out->push_back({OuType::kUpdate,
-                      MakeExecFeatures(
-                          node.estimated_rows,
-                          static_cast<double>(update->sets.size()),
-                          SchemaTupleBytes(node.children[0]->output_schema),
-                          0.0, 0.0, 1.0, mode)});
-      break;
-    }
-    case PlanNodeType::kDelete: {
-      out->push_back({OuType::kDelete,
-                      MakeExecFeatures(
-                          node.estimated_rows,
-                          node.children[0]->output_schema.NumColumns(),
-                          SchemaTupleBytes(node.children[0]->output_schema),
-                          0.0, 0.0, 1.0, mode)});
-      break;
-    }
-    case PlanNodeType::kOutput: {
-      out->push_back({OuType::kOutput,
-                      MakeExecFeatures(node.estimated_rows,
-                                       node.output_schema.NumColumns(),
-                                       SchemaTupleBytes(node.output_schema),
-                                       0.0, 0.0, 1.0, mode)});
-      break;
-    }
   }
+  return rows;
 }
 
 std::vector<TranslatedOu> OuTranslator::TranslateAction(const Action &action) const {

@@ -2,13 +2,15 @@
 
 /// \file ou_translator.h
 /// Extracts OUs and their input features from query plans and self-driving
-/// actions (Sec 6.1). The same translator serves training-time feature
-/// generation and inference: at inference the feature values come from the
-/// optimizer's cardinality estimates instead of observed counts.
+/// actions (Sec 6.1). A plan's OUs come from the same per-node list the
+/// executors record training data from (modeling/node_ous.h): the
+/// translator fills each node's row counts from the optimizer's cardinality
+/// estimates, where execution fills them with what it measured.
 
 #include <vector>
 
 #include "catalog/settings.h"
+#include "modeling/node_ous.h"
 #include "modeling/operating_unit.h"
 #include "plan/cardinality_estimator.h"
 #include "plan/plan_node.h"
@@ -17,20 +19,15 @@
 
 namespace mb2 {
 
-/// One OU occurrence with its model input features.
-struct TranslatedOu {
-  OuType type;
-  FeatureVector features;
-};
-
 class OuTranslator {
  public:
   OuTranslator(Catalog *catalog, CardinalityEstimator *estimator,
                SettingsManager *settings)
       : catalog_(catalog), estimator_(estimator), settings_(settings) {}
 
-  /// OUs for one execution of a (finalized, estimated) query plan.
-  /// `exec_mode_override` < 0 uses the current knob value.
+  /// OUs for one execution of a (finalized, estimated) query plan in the
+  /// execution_mode knob value `exec_mode_override` (0 interpret, 1
+  /// compiled, 2 vectorized); < 0 uses the current knob value.
   std::vector<TranslatedOu> TranslateQuery(const PlanNode &plan,
                                            double exec_mode_override = -1.0) const;
 
@@ -50,8 +47,10 @@ class OuTranslator {
       const WorkloadForecast &forecast) const;
 
  private:
-  void TranslateNode(const PlanNode &node, double mode,
+  void TranslatePlan(const PlanNode &node, ExecutionMode mode,
                      std::vector<TranslatedOu> *out) const;
+  /// A node's row counts from the optimizer's estimates.
+  NodeRows EstimatedRows(const PlanNode &node) const;
   /// Estimated bytes a plan writes (redo volume) per execution.
   double EstimateWriteBytes(const PlanNode &node) const;
 

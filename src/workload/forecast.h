@@ -26,13 +26,6 @@ struct WorkloadForecast {
   double interval_s = 10.0;     ///< forecast granularity
   uint32_t num_threads = 1;     ///< worker threads executing the workload
   std::vector<ForecastEntry> entries;
-
-  /// Total queries expected in the interval.
-  double TotalQueries() const {
-    double total = 0.0;
-    for (const auto &e : entries) total += e.arrival_rate * interval_s;
-    return total;
-  }
 };
 
 }  // namespace mb2

@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <functional>
 #include <set>
+#include <sstream>
 
 #include "database.h"
 #include "modeling/model_bot.h"
 #include "modeling/normalization.h"
 #include "runner/ou_runner.h"
+#include "sql/parser.h"
 
 namespace mb2 {
 namespace {
@@ -178,27 +182,97 @@ class TranslatorTest : public ::testing::Test {
     db_.estimator().RefreshStats();
   }
 
-  /// Executes the plan in training mode and returns the OU sequence seen.
-  std::vector<OuType> ExecutedOus(const PlanNode &plan) {
+  /// Executes the plan in training mode and returns the OU records its
+  /// plan nodes emitted (the transaction, WAL and GC OUs left out).
+  std::vector<TranslatedOu> RecordedOus(const PlanNode &plan) {
     auto &metrics = MetricsManager::Instance();
     metrics.DrainAll();
     metrics.SetEnabled(true);
-    db_.Execute(plan);
+    const QueryResult result = db_.Execute(plan);
     metrics.SetEnabled(false);
-    std::vector<OuType> out;
-    for (const auto &r : metrics.DrainAll()) {
-      if (r.ou == OuType::kTxnBegin || r.ou == OuType::kTxnCommit) continue;
-      out.push_back(r.ou);
+    EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+    std::vector<TranslatedOu> out;
+    for (auto &r : metrics.DrainAll()) {
+      if (r.ou > OuType::kOutput && r.ou != OuType::kPageRead) continue;
+      out.push_back({r.ou, std::move(r.features)});
     }
     return out;
   }
 
+  std::vector<OuType> ExecutedOus(const PlanNode &plan) {
+    return Types(RecordedOus(plan));
+  }
+
   std::vector<OuType> TranslatedOus(const PlanNode &plan, ModelBot &bot) {
+    return Types(bot.translator().TranslateQuery(plan));
+  }
+
+  static std::vector<OuType> Types(const std::vector<TranslatedOu> &ous) {
     std::vector<OuType> out;
-    for (const auto &ou : bot.translator().TranslateQuery(plan)) {
-      out.push_back(ou.type);
+    for (const auto &ou : ous) out.push_back(ou.type);
+    return out;
+  }
+
+  /// Each OU as its type name and the bit patterns of its features.
+  static std::vector<std::string> Bits(const std::vector<TranslatedOu> &ous) {
+    std::vector<std::string> out;
+    for (const auto &ou : ous) {
+      std::ostringstream line;
+      line << OuTypeName(ou.type);
+      for (double f : ou.features) {
+        line << ' ' << f << '/' << std::hex << std::bit_cast<uint64_t>(f)
+             << std::dec;
+      }
+      out.push_back(line.str());
     }
     return out;
+  }
+
+  void Sql(const std::string &statement) {
+    auto result = sql::ExecuteSql(&db_, statement);
+    ASSERT_TRUE(result.ok()) << statement << ": " << result.status().ToString();
+    ASSERT_TRUE(result.value().status.ok()) << statement;
+  }
+
+  /// Fills `table` with `rows` rows in one INSERT.
+  void Insert(const std::string &table, int rows,
+              const std::function<std::string(int)> &row) {
+    std::string insert = "INSERT INTO " + table + " VALUES ";
+    for (int i = 0; i < rows; i++) insert += (i == 0 ? "(" : ", (") + row(i) + ")";
+    Sql(insert);
+  }
+
+  /// The tables the query shapes below run on: 2000 numeric orders, 97
+  /// customers, a 2000-row disk table and a varchar table, plus an index.
+  void LoadShapeTables() {
+    Sql("CREATE TABLE orders (id INTEGER, cust INTEGER, qty INTEGER, "
+        "price DOUBLE)");
+    Sql("CREATE TABLE cust (id INTEGER, region INTEGER)");
+    Sql("CREATE TABLE ledger (id INTEGER, amt INTEGER) WITH (storage = disk)");
+    Sql("CREATE TABLE notes (id INTEGER, tag VARCHAR)");
+    auto n = [](int v) { return std::to_string(v); };
+    Insert("orders", 2000, [&](int i) {
+      return n(i) + ", " + n(i % 97) + ", " + n(i * 37 % 100) + ", " +
+             n(i % 50) + ".5";
+    });
+    Insert("cust", 97, [&](int i) { return n(i) + ", " + n(i % 7); });
+    Insert("ledger", 2000, [&](int i) { return n(i) + ", " + n(i * 13 % 500); });
+    Insert("notes", 300, [&](int i) { return n(i) + ", 'n" + n(i % 11) + "'"; });
+    Sql("CREATE INDEX orders_cust ON orders (cust)");
+  }
+
+  /// Runs `statement` in `mode` with fresh statistics and returns its plan's
+  /// translated OUs and the OUs its execution recorded.
+  std::pair<std::vector<TranslatedOu>, std::vector<TranslatedOu>> PredictAndRun(
+      ModelBot &bot, int mode, const std::string &statement) {
+    db_.settings().SetInt("execution_mode", mode);
+    db_.estimator().RefreshStats();
+    auto bound = sql::Parse(&db_, statement);
+    EXPECT_TRUE(bound.ok()) << statement;
+    if (!bound.ok()) return {};
+    const PlanNode &plan = *bound.value().plan;
+    auto predicted = bot.translator().TranslateQuery(plan);
+    return {std::move(predicted), RecordedOus(plan)};
   }
 
   Database db_;
@@ -244,6 +318,73 @@ TEST_F(TranslatorTest, JoinPlanYieldsBuildAndProbe) {
   PlanPtr plan = FinalizePlan(std::move(join), db_.catalog());
   db_.estimator().Estimate(plan.get());
   EXPECT_EQ(TranslatedOus(*plan, bot), ExecutedOus(*plan));
+}
+
+TEST_F(TranslatorTest, TranslatedOusMatchRecordedOusInEveryMode) {
+  // One list per plan node serves both sides, so for every shape and
+  // execution mode the translator predicts the OU types execution records,
+  // in order: the fused vectorized scan included, which records no
+  // ARITHMETIC OU of its own.
+  LoadShapeTables();
+  ModelBot bot(&db_.catalog(), &db_.estimator(), &db_.settings());
+  const std::vector<std::string> shapes = {
+      "SELECT * FROM orders",
+      "SELECT * FROM orders WHERE qty < 50",
+      "SELECT id, qty FROM orders WHERE price > 20",
+      "SELECT cust, COUNT(*) FROM orders GROUP BY cust",
+      "SELECT cust, SUM(qty) FROM orders WHERE price > 10 GROUP BY cust",
+      "SELECT SUM(qty * price) FROM orders",
+      "SELECT * FROM orders JOIN cust ON orders.cust = cust.id",
+      "SELECT * FROM orders JOIN cust ON orders.cust = cust.id "
+      "WHERE cust.region = 3",
+      "SELECT id FROM orders ORDER BY 1 DESC LIMIT 5",
+      "SELECT * FROM orders WHERE qty < 30 ORDER BY 1 LIMIT 10",
+      "SELECT qty + 1 FROM orders",
+      "SELECT * FROM orders LIMIT 3",
+      "SELECT * FROM orders WHERE cust = 5",
+      "SELECT * FROM notes WHERE tag = 'n3'",
+      "SELECT * FROM ledger",
+      "SELECT * FROM ledger WHERE amt < 100",
+      "INSERT INTO orders VALUES (100000, 1, 2, 3.5)",
+      "UPDATE orders SET qty = qty + 1",
+      "UPDATE orders SET price = price * 2 WHERE qty < 10",
+      "DELETE FROM orders WHERE id > 1990",
+  };
+  for (int mode = 0; mode <= 2; mode++) {
+    for (const std::string &shape : shapes) {
+      auto [predicted, recorded] = PredictAndRun(bot, mode, shape);
+      ASSERT_FALSE(recorded.empty()) << shape;
+      EXPECT_EQ(Types(predicted), Types(recorded))
+          << "mode " << mode << ": " << shape;
+    }
+  }
+}
+
+TEST_F(TranslatorTest, ExactEstimatesGiveRecordedFeaturesBitForBit) {
+  // Where the optimizer's estimates are exact (fresh statistics, numeric
+  // rows, unique sort keys, literal INSERT rows), translation and execution
+  // fill the same row counts, so the features match bit for bit. A DML
+  // statement's OUTPUT sends its one count row.
+  LoadShapeTables();
+  ModelBot bot(&db_.catalog(), &db_.estimator(), &db_.settings());
+  for (int mode = 0; mode <= 2; mode++) {
+    // A new id each time keeps the sort key unique.
+    const std::string insert = "INSERT INTO orders VALUES (" +
+                               std::to_string(100000 + mode) + ", 1, 2, 3.5)";
+    for (const std::string &shape :
+         {std::string("SELECT * FROM orders"),
+          std::string("SELECT id FROM orders ORDER BY 1 DESC LIMIT 5"),
+          std::string("UPDATE orders SET qty = qty + 1"), insert}) {
+      auto [predicted, recorded] = PredictAndRun(bot, mode, shape);
+      ASSERT_FALSE(recorded.empty()) << shape;
+      EXPECT_EQ(Bits(predicted), Bits(recorded))
+          << "mode " << mode << ": " << shape;
+      EXPECT_EQ(recorded.back().type, OuType::kOutput);
+      if (shape.starts_with("UPDATE") || shape.starts_with("INSERT")) {
+        EXPECT_EQ(predicted.back().features[exec_feature::kNumRows], 1.0);
+      }
+    }
+  }
 }
 
 TEST_F(TranslatorTest, ExecModeOverrideFlowsIntoFeatures) {
