@@ -1,13 +1,20 @@
-// Value codec tests: the one tag+payload layout a Value takes in WAL redo
-// records, heap-page rows and SQL_QUERY result rows. Golden bytes pin the
-// layout; every truncation point of an encoded record must read as "need
-// more bytes" (WAL stream) or a clean decode failure (page, wire); and a bad
-// type tag or an oversized varchar length must read as corruption, never as
-// a torn tail the WAL applier would wait on forever.
+// Byte codec tests. The Value codec: the one tag+payload layout a Value takes
+// in WAL redo records, heap-page rows and SQL_QUERY result rows. Golden bytes
+// pin the layout; every truncation point of an encoded record must read as
+// "need more bytes" (WAL stream) or a clean decode failure (page, wire); and
+// a bad type tag or an oversized varchar length must read as corruption,
+// never as a torn tail the WAL applier would wait on forever. The wire
+// payloads: every request, the status head and every reply body of the
+// network protocol, pinned byte for byte and fed the same truncations and
+// corruptions.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "database.h"
@@ -209,63 +216,399 @@ TEST(PageCodecTest, CorruptionIsAnIoError) {
   }
 }
 
-// --- SQL_QUERY result rows -----------------------------------------------------
+// --- Every wire payload ------------------------------------------------------
+// One row per payload kind: six requests, the status head and seven reply
+// bodies. Each row holds a sample message and its bytes, written field by
+// field. Decoding the bytes must give the sample back, and every cut, one
+// trailing byte, an out-of-range tag and an oversized count in any repeated
+// field (string bytes and double vectors included) must fail to decode.
 
-Bytes GoldenSqlResponse() {
-  net::SqlResponseBody body;
-  body.rows.push_back(GoldenRow());
-  body.elapsed_us = 2.0;
-  body.aborted = false;
-  return net::EncodeSqlResponse(body);
+/// The codec under test. A request decodes from its first byte; a reply the
+/// way a client reads it: the head, then the body behind it.
+Bytes EncodeRequest(const std::string &sql) { return net::EncodeSqlRequest(sql); }
+Bytes EncodeRequest(const std::vector<TranslatedOu> &ous) {
+  return net::EncodePredictRequest(ous);
+}
+Bytes EncodeRequest(uint32_t millis) { return net::EncodeSleepRequest(millis); }
+Bytes EncodeRequest(const net::ReplSubscribeRequest &req) {
+  return net::EncodeReplSubscribeRequest(req);
+}
+Bytes EncodeRequest(const net::ReplFetchRequest &req) {
+  return net::EncodeReplFetchRequest(req);
+}
+Bytes EncodeRequest(const net::ReplAckRequest &req) {
+  return net::EncodeReplAckRequest(req);
+}
+bool DecodeRequest(const Bytes &bytes, std::string *sql) {
+  return net::DecodeSqlRequest(bytes, sql);
+}
+bool DecodeRequest(const Bytes &bytes, std::vector<TranslatedOu> *ous) {
+  return net::DecodePredictRequest(bytes, ous);
+}
+bool DecodeRequest(const Bytes &bytes, uint32_t *millis) {
+  return net::DecodeSleepRequest(bytes, millis);
+}
+bool DecodeRequest(const Bytes &bytes, net::ReplSubscribeRequest *req) {
+  return net::DecodeReplSubscribeRequest(bytes, req);
+}
+bool DecodeRequest(const Bytes &bytes, net::ReplFetchRequest *req) {
+  return net::DecodeReplFetchRequest(bytes, req);
+}
+bool DecodeRequest(const Bytes &bytes, net::ReplAckRequest *req) {
+  return net::DecodeReplAckRequest(bytes, req);
 }
 
-/// [u16 code][u32 empty message] before the body; the body is
-/// [f64 elapsed][u8 aborted][u64 nrows] then per row [u16 ncols]{values}.
-constexpr size_t kResponseHead = 6;
-constexpr size_t kBodyHeader = 8 + 1 + 8 + 2;
+Bytes EncodeReply(const net::SqlResponseBody &body) {
+  return net::EncodeSqlResponse(body);
+}
+Bytes EncodeReply(const net::PredictResponseBody &body) {
+  return net::EncodePredictResponse(body);
+}
+Bytes EncodeReply(const std::string &json) {
+  return net::EncodeMetricsResponse(json);
+}
+Bytes EncodeReply(const net::ReplSubscribeResponseBody &body) {
+  return net::EncodeReplSubscribeResponse(body);
+}
+Bytes EncodeReply(const net::ReplLogBatchBody &body) {
+  return net::EncodeReplLogBatchResponse(body);
+}
+Bytes EncodeReply(const net::CtrlStatusBody &body) {
+  return net::EncodeCtrlStatusResponse(body);
+}
+Bytes EncodeReply(const net::HealthInfo &info) {
+  return net::EncodeHealthResponse(info);
+}
+bool DecodeReplyBody(const Bytes &bytes, size_t at, net::SqlResponseBody *out) {
+  return net::DecodeSqlResponseBody(bytes, at, out);
+}
+bool DecodeReplyBody(const Bytes &bytes, size_t at,
+                     net::PredictResponseBody *out) {
+  return net::DecodePredictResponseBody(bytes, at, out);
+}
+bool DecodeReplyBody(const Bytes &bytes, size_t at, std::string *json) {
+  return net::DecodeMetricsResponseBody(bytes, at, json);
+}
+bool DecodeReplyBody(const Bytes &bytes, size_t at,
+                     net::ReplSubscribeResponseBody *out) {
+  return net::DecodeReplSubscribeResponseBody(bytes, at, out);
+}
+bool DecodeReplyBody(const Bytes &bytes, size_t at, net::ReplLogBatchBody *out) {
+  return net::DecodeReplLogBatchResponseBody(bytes, at, out);
+}
+bool DecodeReplyBody(const Bytes &bytes, size_t at, net::CtrlStatusBody *out) {
+  return net::DecodeCtrlStatusResponseBody(bytes, at, out);
+}
+bool DecodeReplyBody(const Bytes &bytes, size_t at, net::HealthInfo *out) {
+  return net::DecodeHealthResponseBody(bytes, at, out);
+}
+
+/// A status response: the head and nothing behind it.
+struct StatusHead {
+  net::WireCode code = net::WireCode::kOk;
+  std::string message;
+};
+Bytes EncodeStatus(const StatusHead &head) {
+  return net::EncodeStatusResponse(head.code, head.message);
+}
+bool DecodeStatus(const Bytes &bytes, StatusHead *head) {
+  size_t body_at = 0;
+  return net::DecodeResponseHead(bytes, &head->code, &head->message,
+                                 &body_at) &&
+         body_at == bytes.size();
+}
+
+template <typename Body>
+bool DecodeReply(const Bytes &bytes, Body *body) {
+  StatusHead head;
+  size_t body_at = 0;
+  return net::DecodeResponseHead(bytes, &head.code, &head.message, &body_at) &&
+         head.code == net::WireCode::kOk &&
+         DecodeReplyBody(bytes, body_at, body);
+}
+
+/// A payload's expected bytes, written field by field. It notes where each
+/// count of a repeated field and each enumerated tag sits, so the corruption
+/// cases can break them.
+struct Golden {
+  Bytes bytes;
+  std::vector<std::pair<size_t, size_t>> counts;    ///< offset, width
+  std::vector<std::pair<size_t, Bytes>> bad_tags;   ///< offset, tag to write
+
+  template <typename T>
+  Golden &Put(T v) {
+    bytes = Concat(bytes, Le<T>(v));
+    return *this;
+  }
+  template <typename T>
+  Golden &Count(T n) {
+    counts.emplace_back(bytes.size(), sizeof(T));
+    return Put<T>(n);
+  }
+  template <typename T>
+  Golden &Tag(T tag, T out_of_range) {
+    bad_tags.emplace_back(bytes.size(), Le<T>(out_of_range));
+    return Put<T>(tag);
+  }
+  Golden &Str(const std::string &s) {
+    Count<uint32_t>(static_cast<uint32_t>(s.size()));
+    bytes.insert(bytes.end(), s.begin(), s.end());
+    return *this;
+  }
+};
+
+constexpr uint8_t kBadValueTag = 0x07;
+constexpr uint8_t kBadOuType = static_cast<uint8_t>(kNumOuTypes);
+constexpr uint16_t kBadWireCode = 9;  // one past NOT_PRIMARY
+
+/// The head of an OK reply: code 0 and an empty message.
+Golden OkHead() {
+  Golden g;
+  g.Tag<uint16_t>(0, kBadWireCode).Str("");
+  return g;
+}
+
+struct WireCase {
+  std::string name;
+  Golden golden;
+  std::function<Bytes()> encode;
+  /// Decodes bytes as this payload kind and encodes the result again, or
+  /// nullopt when they do not decode. The golden bytes come back exactly
+  /// when every field of the sample survived the trip.
+  std::function<std::optional<Bytes>(const Bytes &)> reencode;
+};
+
+template <typename Message>
+WireCase RequestCase(std::string name, Message sample, Golden golden) {
+  return {std::move(name), std::move(golden),
+          [sample] { return EncodeRequest(sample); },
+          [](const Bytes &bytes) -> std::optional<Bytes> {
+            Message out{};
+            if (!DecodeRequest(bytes, &out)) return std::nullopt;
+            return EncodeRequest(out);
+          }};
+}
+
+template <typename Body>
+WireCase ReplyCase(std::string name, Body sample, Golden golden) {
+  return {std::move(name), std::move(golden),
+          [sample] { return EncodeReply(sample); },
+          [](const Bytes &bytes) -> std::optional<Bytes> {
+            Body out{};
+            if (!DecodeReply(bytes, &out)) return std::nullopt;
+            return EncodeReply(out);
+          }};
+}
+
+WireCase HeadCase(std::string name, StatusHead sample, Golden golden) {
+  return {std::move(name), std::move(golden),
+          [sample] { return EncodeStatus(sample); },
+          [](const Bytes &bytes) -> std::optional<Bytes> {
+            StatusHead out;
+            if (!DecodeStatus(bytes, &out)) return std::nullopt;
+            return EncodeStatus(out);
+          }};
+}
+
+std::vector<WireCase> WireCases() {
+  std::vector<WireCase> cases;
+
+  cases.push_back(RequestCase("SQL_QUERY request", std::string("SELECT 1"),
+                              Golden().Str("SELECT 1")));
+  const std::vector<TranslatedOu> ous = {{OuType::kSeqScan, {1.0, -0.0}},
+                                         {OuType::kTxnCommit, {}}};
+  cases.push_back(RequestCase(
+      "PREDICT_OUS request", ous,
+      Golden()
+          .Count<uint32_t>(2)
+          .Tag<uint8_t>(static_cast<uint8_t>(OuType::kSeqScan), kBadOuType)
+          .Count<uint64_t>(2)
+          .Put<double>(1.0)
+          .Put<double>(-0.0)
+          .Tag<uint8_t>(static_cast<uint8_t>(OuType::kTxnCommit), kBadOuType)
+          .Count<uint64_t>(0)));
+  cases.push_back(RequestCase("SLEEP request", uint32_t{250},
+                              Golden().Put<uint32_t>(250)));
+  cases.push_back(RequestCase(
+      "REPL_SUBSCRIBE request", net::ReplSubscribeRequest{"f1", 4096},
+      Golden().Str("f1").Put<uint64_t>(4096)));
+  cases.push_back(RequestCase(
+      "REPL_LOG_BATCH request", net::ReplFetchRequest{"f1", 512, 65536, 3},
+      Golden().Str("f1").Put<uint64_t>(512).Put<uint32_t>(65536).Put<uint64_t>(
+          3)));
+  cases.push_back(RequestCase(
+      "REPL_ACK request", net::ReplAckRequest{"f1", 1024, 17},
+      Golden().Str("f1").Put<uint64_t>(1024).Put<uint64_t>(17)));
+
+  cases.push_back(HeadCase(
+      "status head", StatusHead{net::WireCode::kDeadlineExceeded, "too slow"},
+      Golden()
+          .Tag<uint16_t>(static_cast<uint16_t>(net::WireCode::kDeadlineExceeded),
+                         kBadWireCode)
+          .Str("too slow")));
+
+  net::SqlResponseBody sql;
+  sql.rows = {GoldenRow(), {Value::Integer(-1)}};
+  sql.elapsed_us = 2.0;
+  sql.aborted = true;
+  cases.push_back(ReplyCase(
+      "SQL_QUERY reply", sql,
+      OkHead()
+          .Put<double>(2.0)
+          .Put<uint8_t>(1)
+          .Count<uint64_t>(2)
+          .Count<uint16_t>(4)
+          .Tag<uint8_t>(0, kBadValueTag)
+          .Put<int64_t>(0x0102030405060708LL)
+          .Tag<uint8_t>(1, kBadValueTag)
+          .Put<double>(1.5)
+          .Tag<uint8_t>(2, kBadValueTag)
+          .Str("mb2")
+          .Tag<uint8_t>(2, kBadValueTag)
+          .Str("")
+          .Count<uint16_t>(1)
+          .Tag<uint8_t>(0, kBadValueTag)
+          .Put<int64_t>(-1)));
+
+  net::PredictResponseBody predict;
+  predict.degraded_ous = 1;
+  Golden predict_bytes = OkHead();
+  predict_bytes.Put<uint32_t>(1).Count<uint64_t>(2);
+  for (size_t i = 0; i < 2; i++) {
+    Labels labels{};
+    for (size_t j = 0; j < kNumLabels; j++) {
+      labels[j] = 0.5 * static_cast<double>(i * kNumLabels + j) - 1.0;
+      predict_bytes.Put<double>(labels[j]);
+    }
+    predict.per_ou.push_back(labels);
+  }
+  cases.push_back(ReplyCase("PREDICT_OUS reply", predict, predict_bytes));
+
+  cases.push_back(ReplyCase("GET_METRICS reply", std::string("{\"n\":1}"),
+                            OkHead().Str("{\"n\":1}")));
+  cases.push_back(ReplyCase("REPL_SUBSCRIBE reply",
+                            net::ReplSubscribeResponseBody{8192, 3},
+                            OkHead().Put<uint64_t>(8192).Put<uint64_t>(3)));
+
+  net::ReplLogBatchBody batch;
+  batch.offset = 512;
+  batch.data = {0xde, 0xad, 0xbe};
+  batch.batch_crc = 0x01020304;
+  batch.durable_tip = 515;
+  batch.epoch = 3;
+  cases.push_back(ReplyCase("REPL_LOG_BATCH reply", batch,
+                            OkHead()
+                                .Put<uint64_t>(512)
+                                .Put<uint64_t>(515)
+                                .Put<uint64_t>(3)
+                                .Put<uint32_t>(0x01020304)
+                                .Count<uint32_t>(3)
+                                .Put<uint8_t>(0xde)
+                                .Put<uint8_t>(0xad)
+                                .Put<uint8_t>(0xbe)));
+
+  net::CtrlStatusBody ctrl;
+  ctrl.attached = true;
+  ctrl.running = true;
+  ctrl.status.ticks = 7;
+  ctrl.status.actions_applied = 3;
+  ctrl.status.actions_rolled_back = 1;
+  ctrl.status.rollback_failures = 2;
+  ctrl.status.ous_retrained = 4;
+  ctrl.status.templates_tracked = 5;
+  ctrl.status.queries_observed = 4242;
+  ctrl.status.last_action_us = -6;
+  ctrl.status.pending_verification = true;
+  ctrl.status.decisions.push_back({1000, "CREATE INDEX i", "apply", 900.5,
+                                   150.25, 880.0, 0.5});
+  ctrl.knob_changes.push_back({"gc_interval_us", 1000, 10000, "controller", 999});
+  ctrl.knob_changes_total = 9;
+  cases.push_back(ReplyCase("CTRL_STATUS reply", ctrl,
+                            OkHead()
+                                .Put<uint8_t>(1)
+                                .Put<uint8_t>(1)
+                                .Put<uint64_t>(7)
+                                .Put<uint64_t>(3)
+                                .Put<uint64_t>(1)
+                                .Put<uint64_t>(2)
+                                .Put<uint64_t>(4)
+                                .Put<uint64_t>(5)
+                                .Put<uint64_t>(4242)
+                                .Put<int64_t>(-6)
+                                .Put<uint8_t>(1)
+                                .Count<uint32_t>(1)
+                                .Put<int64_t>(1000)
+                                .Str("CREATE INDEX i")
+                                .Str("apply")
+                                .Put<double>(900.5)
+                                .Put<double>(150.25)
+                                .Put<double>(880.0)
+                                .Put<double>(0.5)
+                                .Count<uint32_t>(1)
+                                .Str("gc_interval_us")
+                                .Put<double>(1000)
+                                .Put<double>(10000)
+                                .Str("controller")
+                                .Put<int64_t>(999)
+                                .Put<uint64_t>(9)));
+
+  cases.push_back(ReplyCase("HEALTH reply", net::HealthInfo{1, 3, 8192, 4096},
+                            OkHead()
+                                .Put<uint8_t>(1)
+                                .Put<uint64_t>(3)
+                                .Put<uint64_t>(8192)
+                                .Put<uint64_t>(4096)));
+  return cases;
+}
 
 TEST(WireCodecTest, GoldenBytes) {
-  Bytes expected = Concat(Le<uint16_t>(0), Le<uint32_t>(0));
-  expected = Concat(expected, Le<double>(2.0));
-  expected = Concat(expected, Bytes{0x00});
-  expected = Concat(expected, Le<uint64_t>(1));
-  expected = Concat(expected, Le<uint16_t>(4));
-  expected = Concat(expected, kGoldenValues);
-  const Bytes payload = GoldenSqlResponse();
-  EXPECT_EQ(payload, expected);
-
-  net::WireCode code;
-  std::string message;
-  size_t offset = 0;
-  ASSERT_TRUE(net::DecodeResponseHead(payload, &code, &message, &offset));
-  EXPECT_EQ(offset, kResponseHead);
-  net::SqlResponseBody out;
-  ASSERT_TRUE(net::DecodeSqlResponseBody(payload, offset, &out));
-  ASSERT_EQ(out.rows.size(), 1u);
-  EXPECT_EQ(out.rows[0], GoldenRow());
-  EXPECT_EQ(out.elapsed_us, 2.0);
+  const std::vector<WireCase> cases = WireCases();
+  ASSERT_EQ(cases.size(), 14u);
+  for (const WireCase &c : cases) {
+    EXPECT_EQ(c.encode(), c.golden.bytes) << c.name;
+    const std::optional<Bytes> back = c.reencode(c.golden.bytes);
+    ASSERT_TRUE(back.has_value()) << c.name;
+    EXPECT_EQ(*back, c.golden.bytes) << c.name;
+  }
 }
 
 TEST(WireCodecTest, EveryTruncationPointFailsToDecode) {
-  const Bytes payload = GoldenSqlResponse();
-  for (size_t cut = kResponseHead; cut < payload.size(); cut++) {
-    const Bytes truncated(payload.begin(), payload.begin() + cut);
-    net::SqlResponseBody out;
-    EXPECT_FALSE(net::DecodeSqlResponseBody(truncated, kResponseHead, &out))
-        << "cut at " << cut;
+  for (const WireCase &c : WireCases()) {
+    const Bytes &bytes = c.golden.bytes;
+    for (size_t cut = 0; cut < bytes.size(); cut++) {
+      const Bytes truncated(bytes.begin(), bytes.begin() + cut);
+      EXPECT_FALSE(c.reencode(truncated).has_value())
+          << c.name << ", cut at " << cut;
+    }
   }
 }
 
 TEST(WireCodecTest, CorruptionFailsToDecode) {
-  const size_t values_at = kResponseHead + kBodyHeader;
-  Bytes bad_type = GoldenSqlResponse();
-  bad_type[values_at + kDoubleTagAt] = 0x07;
-  Bytes long_varchar = GoldenSqlResponse();
-  std::memcpy(&long_varchar[values_at + kVarcharLenAt], &kOversizedVarcharLen,
-              sizeof(uint32_t));
-  for (const Bytes *payload : {&bad_type, &long_varchar}) {
-    net::SqlResponseBody out;
-    EXPECT_FALSE(net::DecodeSqlResponseBody(*payload, kResponseHead, &out));
+  for (const WireCase &c : WireCases()) {
+    const Bytes &clean = c.golden.bytes;
+    Bytes trailing = clean;
+    trailing.push_back(0);
+    EXPECT_FALSE(c.reencode(trailing).has_value()) << c.name << ", trailing byte";
+
+    for (const auto &[at, tag] : c.golden.bad_tags) {
+      Bytes bad = clean;
+      std::copy(tag.begin(), tag.end(), bad.begin() + static_cast<ptrdiff_t>(at));
+      EXPECT_FALSE(c.reencode(bad).has_value()) << c.name << ", tag at " << at;
+    }
+
+    // Each count gets the largest value its width holds, and the smallest
+    // that the bytes behind it could not hold even at one byte an element.
+    for (const auto &[at, width] : c.golden.counts) {
+      const uint64_t widest =
+          width == 8 ? ~uint64_t{0} : (uint64_t{1} << (8 * width)) - 1;
+      const uint64_t behind = clean.size() - at - width;
+      for (const uint64_t count : {widest, std::min(widest, behind + 1)}) {
+        Bytes bad = clean;
+        std::memcpy(&bad[at], &count, width);  // little-endian low bytes
+        EXPECT_FALSE(c.reencode(bad).has_value())
+            << c.name << ", count " << count << " at " << at;
+      }
+    }
   }
 }
 
