@@ -10,6 +10,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <type_traits>
 
 #include "common/fault_injector.h"
 
@@ -271,8 +272,7 @@ Status Client::Roundtrip(Opcode op, const std::vector<uint8_t> &payload,
 }
 
 template <typename Body>
-Result<Body> Client::Call(Opcode op, const std::vector<uint8_t> &payload,
-                          BodyDecoder<Body> decode) {
+Result<Body> Client::Call(Opcode op, const std::vector<uint8_t> &payload) {
   Frame response;
   const Status s = Roundtrip(op, payload, &response);
   if (!s.ok()) return s;
@@ -285,58 +285,53 @@ Result<Body> Client::Call(Opcode op, const std::vector<uint8_t> &payload,
   }
   if (code != WireCode::kOk) return WireCodeToStatus(code, message);
   Body body{};
-  if (decode != nullptr && !decode(response.payload, offset, &body)) {
-    return Status::IoError(std::string("malformed ") + OpcodeName(op) +
-                           " response body");
+  if constexpr (!std::is_same_v<Body, NoBody>) {
+    if (!Decode(response.payload, offset, &body)) {
+      return Status::IoError(std::string("malformed ") + OpcodeName(op) +
+                             " response body");
+    }
   }
   return body;
 }
 
-Status Client::Ping() {
-  return Call<NoBody>(Opcode::kPing, {}, nullptr).status();
-}
+Status Client::Ping() { return Call<NoBody>(Opcode::kPing, {}).status(); }
 
 Status Client::Sleep(uint32_t millis) {
-  return Call<NoBody>(Opcode::kSleep, EncodeSleepRequest(millis), nullptr)
-      .status();
+  return Call<NoBody>(Opcode::kSleep, Encode(millis)).status();
 }
 
 Result<RemoteQueryResult> Client::ExecuteSql(const std::string &sql) {
-  return Call(Opcode::kSqlQuery, EncodeSqlRequest(sql), DecodeSqlResponseBody);
+  return Call<RemoteQueryResult>(Opcode::kSqlQuery, Encode(sql));
 }
 
 Result<RemotePrediction> Client::PredictOus(
     const std::vector<TranslatedOu> &ous) {
-  return Call(Opcode::kPredictOus, EncodePredictRequest(ous),
-              DecodePredictResponseBody);
+  return Call<RemotePrediction>(Opcode::kPredictOus, Encode(ous));
 }
 
 Result<std::string> Client::GetMetricsJson() {
-  return Call(Opcode::kGetMetrics, {}, DecodeMetricsResponseBody);
+  return Call<std::string>(Opcode::kGetMetrics, {});
 }
 
 Result<HealthInfo> Client::Health() {
-  return Call(Opcode::kHealth, {}, DecodeHealthResponseBody);
+  return Call<HealthInfo>(Opcode::kHealth, {});
 }
 
 Result<CtrlStatusBody> Client::CtrlStatus() {
-  return Call(Opcode::kCtrlStatus, {}, DecodeCtrlStatusResponseBody);
+  return Call<CtrlStatusBody>(Opcode::kCtrlStatus, {});
 }
 
 Result<ReplSubscribeResponseBody> Client::ReplSubscribe(
     const ReplSubscribeRequest &req) {
-  return Call(Opcode::kReplSubscribe, EncodeReplSubscribeRequest(req),
-              DecodeReplSubscribeResponseBody);
+  return Call<ReplSubscribeResponseBody>(Opcode::kReplSubscribe, Encode(req));
 }
 
 Result<ReplLogBatchBody> Client::ReplFetch(const ReplFetchRequest &req) {
-  return Call(Opcode::kReplLogBatch, EncodeReplFetchRequest(req),
-              DecodeReplLogBatchResponseBody);
+  return Call<ReplLogBatchBody>(Opcode::kReplLogBatch, Encode(req));
 }
 
 Status Client::ReplAck(const ReplAckRequest &req) {
-  return Call<NoBody>(Opcode::kReplAck, EncodeReplAckRequest(req), nullptr)
-      .status();
+  return Call<NoBody>(Opcode::kReplAck, Encode(req)).status();
 }
 
 Client::Stats Client::stats() const {

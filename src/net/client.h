@@ -115,15 +115,13 @@ class Client {
   /// (whose payload may still carry a server-side error code).
   Status Roundtrip(Opcode op, const std::vector<uint8_t> &payload, Frame *out);
 
-  /// Body of an OK response that carries none (PING, SLEEP, REPL_ACK).
+  /// Body of an OK response that carries none (PING, SLEEP, REPL_ACK); any
+  /// bytes behind the head are ignored.
   struct NoBody {};
-  template <typename Body>
-  using BodyDecoder = bool (*)(const std::vector<uint8_t> &, size_t, Body *);
   /// Every call's path: Roundtrip, the response head, the server's code,
-  /// then `decode` (null for NoBody) on the body. Errors name the opcode.
+  /// then Decode of the body. Errors name the opcode.
   template <typename Body>
-  Result<Body> Call(Opcode op, const std::vector<uint8_t> &payload,
-                    BodyDecoder<Body> decode);
+  Result<Body> Call(Opcode op, const std::vector<uint8_t> &payload);
 
   Result<int> Dial();
   int Checkout();          ///< pooled fd or -1

@@ -86,9 +86,53 @@ void SetNoDelay(int fd) {
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-/// The response for a request the engine or the replication service failed.
-std::vector<uint8_t> EncodeErrorResponse(const Status &s) {
-  return EncodeStatusResponse(StatusToWireCode(s), s.ToString());
+/// A response with no body: `code` and `message`.
+std::vector<uint8_t> Answer(WireCode code, std::string message) {
+  return Encode(ResponseHead{code, std::move(message)});
+}
+
+/// What a handler returned, as a response: an OK head and the body, or the
+/// error's wire code with its ToString() as the message.
+std::vector<uint8_t> Reply(const Status &s) {
+  return s.ok() ? Encode(ResponseHead{})
+                : Answer(StatusToWireCode(s), s.ToString());
+}
+template <typename Body>
+std::vector<uint8_t> Reply(const Result<Body> &result) {
+  return result.ok() ? Encode(ResponseHead{}, result.value())
+                     : Reply(result.status());
+}
+
+/// Why a decoded request is refused before its handler runs, or "". The
+/// serving layer batches the OUs of a type into one matrix, so every feature
+/// vector must have its OU's descriptor width: a hostile width is refused
+/// here rather than aborting in the math kernels.
+template <typename Request>
+std::string Refusal(const Request &) {
+  return {};
+}
+std::string Refusal(const std::vector<TranslatedOu> &ous) {
+  for (const TranslatedOu &ou : ous) {
+    if (ou.features.size() != GetOuDescriptor(ou.type).feature_names.size()) {
+      return std::string("feature width mismatch for OU ") + OuTypeName(ou.type);
+    }
+  }
+  return {};
+}
+
+/// One opcode with a request body: decode the request (answering
+/// "bad <OPCODE> payload" when it does not decode), run `handle` on it, and
+/// encode the Status or Result<Body> it returns.
+template <typename Request, typename Handler>
+std::vector<uint8_t> Serve(const Frame &frame, Handler handle) {
+  Request request{};
+  if (!Decode(frame.payload, 0, &request)) {
+    return Answer(WireCode::kBadRequest,
+                  std::string("bad ") + OpcodeName(frame.Op()) + " payload");
+  }
+  std::string refusal = Refusal(request);
+  if (!refusal.empty()) return Answer(WireCode::kBadRequest, std::move(refusal));
+  return Reply(handle(request));
 }
 
 }  // namespace
@@ -98,7 +142,6 @@ std::vector<uint8_t> EncodeErrorResponse(const Status &s) {
 /// the mutex-guarded outbox (via Server::SendResponse).
 struct Server::Connection {
   int fd = -1;
-  uint64_t session_id = 0;
   Reactor *reactor = nullptr;
   FrameDecoder decoder;
 
@@ -290,20 +333,9 @@ void Server::AcceptorLoop() {
       }
       SetNoDelay(fd);
 
-      sockaddr_in peer{};
-      socklen_t plen = sizeof(peer);
-      char ip[INET_ADDRSTRLEN] = "?";
-      uint16_t pport = 0;
-      if (getpeername(fd, reinterpret_cast<sockaddr *>(&peer), &plen) == 0) {
-        inet_ntop(AF_INET, &peer.sin_addr, ip, sizeof(ip));
-        pport = ntohs(peer.sin_port);
-      }
-
       auto conn = std::make_shared<Connection>();
       conn->fd = fd;
       conn->decoder = FrameDecoder(options_.max_payload_bytes);
-      conn->session_id =
-          sessions_.Register(std::string(ip) + ":" + std::to_string(pport));
 
       Reactor *reactor = reactors_[next_reactor_].get();
       next_reactor_ = (next_reactor_ + 1) % reactors_.size();
@@ -441,7 +473,6 @@ void Server::HandleReadable(Reactor *reactor,
     }
     n_bytes_in_.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
     BytesInCounter().Add(static_cast<uint64_t>(n));
-    sessions_.OnBytesIn(conn->session_id, static_cast<uint64_t>(n));
     conn->decoder.Feed(buf, static_cast<size_t>(n));
 
     bool parsing = true;
@@ -462,9 +493,8 @@ void Server::HandleReadable(Reactor *reactor,
           ProtocolErrorCounter().Add();
           SendResponse(conn, EncodeFrame(frame.opcode | kResponseBit,
                                          frame.request_id,
-                                         EncodeStatusResponse(
-                                             WireCode::kBadRequest,
-                                             "payload checksum mismatch")));
+                                         Answer(WireCode::kBadRequest,
+                                                "payload checksum mismatch")));
           conn->close_after_flush.store(true);
           return;
         }
@@ -473,9 +503,8 @@ void Server::HandleReadable(Reactor *reactor,
           ProtocolErrorCounter().Add();
           SendResponse(conn, EncodeFrame(frame.opcode | kResponseBit,
                                          frame.request_id,
-                                         EncodeStatusResponse(
-                                             WireCode::kBadRequest,
-                                             "payload length exceeds limit")));
+                                         Answer(WireCode::kBadRequest,
+                                                "payload length exceeds limit")));
           conn->close_after_flush.store(true);
           return;
         }
@@ -496,14 +525,13 @@ void Server::HandleFrame(Reactor *reactor,
                          const std::shared_ptr<Connection> &conn, Frame frame) {
   MB2_UNUSED(reactor);
   n_requests_.fetch_add(1, std::memory_order_relaxed);
-  sessions_.OnRequest(conn->session_id);
   ObsFor(frame.Op()).requests->Add();
 
   const uint16_t resp_opcode = frame.opcode | kResponseBit;
   if (state_.load() != State::kRunning) {
     SendResponse(conn, EncodeFrame(resp_opcode, frame.request_id,
-                                   EncodeStatusResponse(WireCode::kShuttingDown,
-                                                        "server draining")));
+                                   Answer(WireCode::kShuttingDown,
+                                          "server draining")));
     return;
   }
 
@@ -528,16 +556,16 @@ void Server::HandleFrame(Reactor *reactor,
       drain_cv_.notify_all();
     }
     SendResponse(conn, EncodeFrame(resp_opcode, frame.request_id,
-                                   EncodeStatusResponse(WireCode::kShuttingDown,
-                                                        "server draining")));
+                                   Answer(WireCode::kShuttingDown,
+                                          "server draining")));
     return;
   }
   if (!admitted) {
     n_shed_.fetch_add(1, std::memory_order_relaxed);
     ShedCounter().Add();
     SendResponse(conn, EncodeFrame(resp_opcode, frame.request_id,
-                                   EncodeStatusResponse(WireCode::kServerBusy,
-                                                        "admission queue full")));
+                                   Answer(WireCode::kServerBusy,
+                                          "admission queue full")));
     return;
   }
 
@@ -561,13 +589,13 @@ void Server::ExecuteRequest(const std::shared_ptr<Connection> &conn,
   std::vector<uint8_t> response;
   if (deadline_us > 0 && start_us > deadline_us) {
     n_deadline_.fetch_add(1, std::memory_order_relaxed);
-    response = EncodeStatusResponse(WireCode::kDeadlineExceeded,
-                                    "request expired in queue");
+    response =
+        Answer(WireCode::kDeadlineExceeded, "request expired in queue");
   } else {
     try {
       response = DispatchOpcode(frame);
     } catch (const std::exception &e) {
-      response = EncodeStatusResponse(WireCode::kInternal, e.what());
+      response = Answer(WireCode::kInternal, e.what());
     }
   }
 
@@ -577,66 +605,51 @@ void Server::ExecuteRequest(const std::shared_ptr<Connection> &conn,
 }
 
 std::vector<uint8_t> Server::DispatchOpcode(const Frame &frame) {
-  switch (frame.Op()) {
+  // A request whose service is not attached is refused before its payload
+  // is read.
+  const Opcode op = frame.Op();
+  if (op == Opcode::kPredictOus && bot_ == nullptr) {
+    return Answer(WireCode::kBadRequest, "no model bot attached");
+  }
+  if ((op == Opcode::kReplSubscribe || op == Opcode::kReplLogBatch ||
+       op == Opcode::kReplAck) &&
+      repl_ == nullptr) {
+    return Answer(WireCode::kBadRequest, "replication not enabled");
+  }
+
+  switch (op) {
     case Opcode::kPing:
-      return EncodeStatusResponse(WireCode::kOk, "");
+      return Reply(Status::Ok());
 
-    case Opcode::kSleep: {
-      uint32_t millis = 0;
-      if (!DecodeSleepRequest(frame.payload, &millis)) {
-        return EncodeStatusResponse(WireCode::kBadRequest, "bad SLEEP payload");
-      }
-      // Bounded so a hostile sleep cannot wedge graceful drain.
-      millis = std::min(millis, 10'000u);
-      std::this_thread::sleep_for(std::chrono::milliseconds(millis));
-      return EncodeStatusResponse(WireCode::kOk, "");
-    }
+    case Opcode::kSleep:
+      return Serve<uint32_t>(frame, [](uint32_t millis) {
+        // Bounded so a hostile sleep cannot wedge graceful drain.
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(std::min(millis, 10'000u)));
+        return Status::Ok();
+      });
 
-    case Opcode::kSqlQuery: {
-      std::string sql;
-      if (!DecodeSqlRequest(frame.payload, &sql)) {
-        return EncodeStatusResponse(WireCode::kBadRequest, "bad SQL payload");
-      }
-      Result<QueryResult> result = db_->Execute(sql);
-      if (!result.ok()) return EncodeErrorResponse(result.status());
-      QueryResult &qr = result.value();
-      if (!qr.status.ok()) return EncodeErrorResponse(qr.status);
-      SqlResponseBody body;
-      body.rows = std::move(qr.batch.rows);
-      body.elapsed_us = qr.elapsed_us;
-      body.aborted = qr.aborted;
-      return EncodeSqlResponse(body);
-    }
+    case Opcode::kSqlQuery:
+      return Serve<std::string>(
+          frame, [this](const std::string &sql) -> Result<SqlResponseBody> {
+            Result<QueryResult> result = db_->Execute(sql);
+            if (!result.ok()) return result.status();
+            QueryResult &qr = result.value();
+            if (!qr.status.ok()) return qr.status;
+            return SqlResponseBody{std::move(qr.batch.rows), qr.elapsed_us,
+                                   qr.aborted};
+          });
 
-    case Opcode::kPredictOus: {
-      if (bot_ == nullptr) {
-        return EncodeStatusResponse(WireCode::kBadRequest,
-                                    "no model bot attached");
-      }
-      std::vector<TranslatedOu> ous;
-      if (!DecodePredictRequest(frame.payload, &ous)) {
-        return EncodeStatusResponse(WireCode::kBadRequest,
-                                    "bad PREDICT_OUS payload");
-      }
-      // The serving layer batches per OU type into one matrix, so every
-      // vector of a type must have that OU's descriptor width — reject
-      // hostile widths here rather than aborting in the math kernels.
-      for (const TranslatedOu &ou : ous) {
-        const size_t want = GetOuDescriptor(ou.type).feature_names.size();
-        if (ou.features.size() != want) {
-          return EncodeStatusResponse(
-              WireCode::kBadRequest,
-              std::string("feature width mismatch for OU ") +
-                  OuTypeName(ou.type));
-        }
-      }
-      PredictResponseBody body;
-      body.per_ou = bot_->PredictOus(ous, &body.degraded_ous);
-      return EncodePredictResponse(body);
-    }
+    case Opcode::kPredictOus:
+      return Serve<std::vector<TranslatedOu>>(
+          frame, [this](const std::vector<TranslatedOu> &ous) {
+            PredictResponseBody body;
+            body.per_ou = bot_->PredictOus(ous, &body.degraded_ous);
+            return Result<PredictResponseBody>(std::move(body));
+          });
 
     case Opcode::kGetMetrics:
-      return EncodeMetricsResponse(DumpMetricsJson());
+      return Encode(ResponseHead{}, DumpMetricsJson());
 
     case Opcode::kCtrlStatus: {
       // Always answerable: the knob audit trail exists with or without a
@@ -649,7 +662,7 @@ std::vector<uint8_t> Server::DispatchOpcode(const Frame &frame) {
       }
       body.knob_changes = db_->settings().History();
       body.knob_changes_total = db_->settings().total_changes();
-      return EncodeCtrlStatusResponse(body);
+      return Encode(ResponseHead{}, body);
     }
 
     case Opcode::kHealth: {
@@ -662,57 +675,35 @@ std::vector<uint8_t> Server::DispatchOpcode(const Frame &frame) {
       } else {
         info.role = 1;
       }
-      return EncodeHealthResponse(info);
+      return Encode(ResponseHead{}, info);
     }
 
-    case Opcode::kReplSubscribe: {
-      if (repl_ == nullptr) {
-        return EncodeStatusResponse(WireCode::kBadRequest,
-                                    "replication not enabled");
-      }
-      ReplSubscribeRequest req;
-      if (!DecodeReplSubscribeRequest(frame.payload, &req)) {
-        return EncodeStatusResponse(WireCode::kBadRequest,
-                                    "bad REPL_SUBSCRIBE payload");
-      }
-      ReplSubscribeResponseBody body;
-      const Status s = repl_->Subscribe(req, &body);
-      if (!s.ok()) return EncodeErrorResponse(s);
-      return EncodeReplSubscribeResponse(body);
-    }
+    case Opcode::kReplSubscribe:
+      return Serve<ReplSubscribeRequest>(
+          frame,
+          [this](const ReplSubscribeRequest &req)
+              -> Result<ReplSubscribeResponseBody> {
+            ReplSubscribeResponseBody body;
+            const Status s = repl_->Subscribe(req, &body);
+            if (!s.ok()) return s;
+            return body;
+          });
 
-    case Opcode::kReplLogBatch: {
-      if (repl_ == nullptr) {
-        return EncodeStatusResponse(WireCode::kBadRequest,
-                                    "replication not enabled");
-      }
-      ReplFetchRequest req;
-      if (!DecodeReplFetchRequest(frame.payload, &req)) {
-        return EncodeStatusResponse(WireCode::kBadRequest,
-                                    "bad REPL_LOG_BATCH payload");
-      }
-      ReplLogBatchBody body;
-      const Status s = repl_->Fetch(req, &body);
-      if (!s.ok()) return EncodeErrorResponse(s);
-      return EncodeReplLogBatchResponse(body);
-    }
+    case Opcode::kReplLogBatch:
+      return Serve<ReplFetchRequest>(
+          frame,
+          [this](const ReplFetchRequest &req) -> Result<ReplLogBatchBody> {
+            ReplLogBatchBody body;
+            const Status s = repl_->Fetch(req, &body);
+            if (!s.ok()) return s;
+            return body;
+          });
 
-    case Opcode::kReplAck: {
-      if (repl_ == nullptr) {
-        return EncodeStatusResponse(WireCode::kBadRequest,
-                                    "replication not enabled");
-      }
-      ReplAckRequest req;
-      if (!DecodeReplAckRequest(frame.payload, &req)) {
-        return EncodeStatusResponse(WireCode::kBadRequest,
-                                    "bad REPL_ACK payload");
-      }
-      const Status s = repl_->Ack(req);
-      if (!s.ok()) return EncodeErrorResponse(s);
-      return EncodeStatusResponse(WireCode::kOk, "");
-    }
+    case Opcode::kReplAck:
+      return Serve<ReplAckRequest>(
+          frame, [this](const ReplAckRequest &req) { return repl_->Ack(req); });
   }
-  return EncodeStatusResponse(WireCode::kBadRequest, "unknown opcode");
+  return Answer(WireCode::kBadRequest, "unknown opcode");
 }
 
 void Server::SendResponse(const std::shared_ptr<Connection> &conn,
@@ -765,7 +756,6 @@ void Server::FlushConnection(Reactor *reactor,
     }
     n_bytes_out_.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
     BytesOutCounter().Add(static_cast<uint64_t>(n));
-    sessions_.OnBytesOut(conn->session_id, static_cast<uint64_t>(n));
     conn->out_offset += static_cast<size_t>(n);
     if (conn->out_offset == front.size()) {
       conn->outbox.pop_front();
@@ -789,7 +779,6 @@ void Server::CloseConnection(Reactor *reactor,
   epoll_ctl(reactor->epfd, EPOLL_CTL_DEL, conn->fd, nullptr);
   close(conn->fd);
   reactor->conns.erase(conn->fd);
-  sessions_.Unregister(conn->session_id);
   ConnectionsGauge().Set(static_cast<double>(
       n_active_.fetch_sub(1, std::memory_order_relaxed) - 1));
 }

@@ -42,7 +42,6 @@
 #include "common/macros.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "net/session.h"
 #include "net/wire.h"
 
 namespace mb2 {
@@ -123,7 +122,6 @@ class Server {
   uint16_t port() const { return bound_port_; }
 
   ServerStats stats() const;
-  SessionManager &sessions() { return sessions_; }
 
   /// Attaches the replication service answering REPL_*/HEALTH opcodes. Set
   /// before Start(); without one, HEALTH answers "standalone primary" and
@@ -189,8 +187,6 @@ class Server {
   /// connections, and exit once this is set (inflight_ is already 0).
   std::atomic<bool> drain_close_{false};
   std::atomic<int64_t> drain_deadline_us_{0};
-
-  SessionManager sessions_;
 
   // Lifetime stats (relaxed atomics; merged into ServerStats on read).
   std::atomic<uint64_t> n_accepted_{0}, n_requests_{0}, n_shed_{0},

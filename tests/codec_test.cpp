@@ -225,82 +225,21 @@ TEST(PageCodecTest, CorruptionIsAnIoError) {
 
 /// The codec under test. A request decodes from its first byte; a reply the
 /// way a client reads it: the head, then the body behind it.
-Bytes EncodeRequest(const std::string &sql) { return net::EncodeSqlRequest(sql); }
-Bytes EncodeRequest(const std::vector<TranslatedOu> &ous) {
-  return net::EncodePredictRequest(ous);
+template <typename Message>
+Bytes EncodeRequest(const Message &request) {
+  return net::Encode(request);
 }
-Bytes EncodeRequest(uint32_t millis) { return net::EncodeSleepRequest(millis); }
-Bytes EncodeRequest(const net::ReplSubscribeRequest &req) {
-  return net::EncodeReplSubscribeRequest(req);
+template <typename Message>
+bool DecodeRequest(const Bytes &bytes, Message *request) {
+  return net::Decode(bytes, 0, request);
 }
-Bytes EncodeRequest(const net::ReplFetchRequest &req) {
-  return net::EncodeReplFetchRequest(req);
+template <typename Body>
+Bytes EncodeReply(const Body &body) {
+  return net::Encode(net::ResponseHead{}, body);
 }
-Bytes EncodeRequest(const net::ReplAckRequest &req) {
-  return net::EncodeReplAckRequest(req);
-}
-bool DecodeRequest(const Bytes &bytes, std::string *sql) {
-  return net::DecodeSqlRequest(bytes, sql);
-}
-bool DecodeRequest(const Bytes &bytes, std::vector<TranslatedOu> *ous) {
-  return net::DecodePredictRequest(bytes, ous);
-}
-bool DecodeRequest(const Bytes &bytes, uint32_t *millis) {
-  return net::DecodeSleepRequest(bytes, millis);
-}
-bool DecodeRequest(const Bytes &bytes, net::ReplSubscribeRequest *req) {
-  return net::DecodeReplSubscribeRequest(bytes, req);
-}
-bool DecodeRequest(const Bytes &bytes, net::ReplFetchRequest *req) {
-  return net::DecodeReplFetchRequest(bytes, req);
-}
-bool DecodeRequest(const Bytes &bytes, net::ReplAckRequest *req) {
-  return net::DecodeReplAckRequest(bytes, req);
-}
-
-Bytes EncodeReply(const net::SqlResponseBody &body) {
-  return net::EncodeSqlResponse(body);
-}
-Bytes EncodeReply(const net::PredictResponseBody &body) {
-  return net::EncodePredictResponse(body);
-}
-Bytes EncodeReply(const std::string &json) {
-  return net::EncodeMetricsResponse(json);
-}
-Bytes EncodeReply(const net::ReplSubscribeResponseBody &body) {
-  return net::EncodeReplSubscribeResponse(body);
-}
-Bytes EncodeReply(const net::ReplLogBatchBody &body) {
-  return net::EncodeReplLogBatchResponse(body);
-}
-Bytes EncodeReply(const net::CtrlStatusBody &body) {
-  return net::EncodeCtrlStatusResponse(body);
-}
-Bytes EncodeReply(const net::HealthInfo &info) {
-  return net::EncodeHealthResponse(info);
-}
-bool DecodeReplyBody(const Bytes &bytes, size_t at, net::SqlResponseBody *out) {
-  return net::DecodeSqlResponseBody(bytes, at, out);
-}
-bool DecodeReplyBody(const Bytes &bytes, size_t at,
-                     net::PredictResponseBody *out) {
-  return net::DecodePredictResponseBody(bytes, at, out);
-}
-bool DecodeReplyBody(const Bytes &bytes, size_t at, std::string *json) {
-  return net::DecodeMetricsResponseBody(bytes, at, json);
-}
-bool DecodeReplyBody(const Bytes &bytes, size_t at,
-                     net::ReplSubscribeResponseBody *out) {
-  return net::DecodeReplSubscribeResponseBody(bytes, at, out);
-}
-bool DecodeReplyBody(const Bytes &bytes, size_t at, net::ReplLogBatchBody *out) {
-  return net::DecodeReplLogBatchResponseBody(bytes, at, out);
-}
-bool DecodeReplyBody(const Bytes &bytes, size_t at, net::CtrlStatusBody *out) {
-  return net::DecodeCtrlStatusResponseBody(bytes, at, out);
-}
-bool DecodeReplyBody(const Bytes &bytes, size_t at, net::HealthInfo *out) {
-  return net::DecodeHealthResponseBody(bytes, at, out);
+template <typename Body>
+bool DecodeReplyBody(const Bytes &bytes, size_t at, Body *body) {
+  return net::Decode(bytes, at, body);
 }
 
 /// A status response: the head and nothing behind it.
@@ -309,7 +248,7 @@ struct StatusHead {
   std::string message;
 };
 Bytes EncodeStatus(const StatusHead &head) {
-  return net::EncodeStatusResponse(head.code, head.message);
+  return net::Encode(net::ResponseHead{head.code, head.message});
 }
 bool DecodeStatus(const Bytes &bytes, StatusHead *head) {
   size_t body_at = 0;

@@ -486,14 +486,14 @@ TEST(CtrlStatusWireTest, CodecRoundTrip) {
   body.knob_changes.push_back(kc);
   body.knob_changes_total = 9;
 
-  const std::vector<uint8_t> payload = net::EncodeCtrlStatusResponse(body);
+  const std::vector<uint8_t> payload = net::Encode(net::ResponseHead{}, body);
   net::WireCode code;
   std::string message;
   size_t offset = 0;
   ASSERT_TRUE(net::DecodeResponseHead(payload, &code, &message, &offset));
   EXPECT_EQ(code, net::WireCode::kOk);
   net::CtrlStatusBody out;
-  ASSERT_TRUE(net::DecodeCtrlStatusResponseBody(payload, offset, &out));
+  ASSERT_TRUE(net::Decode(payload, offset, &out));
 
   EXPECT_TRUE(out.attached);
   EXPECT_TRUE(out.running);
@@ -522,7 +522,7 @@ TEST(CtrlStatusWireTest, CodecRoundTrip) {
   // A truncated payload must fail cleanly, never read past the end.
   std::vector<uint8_t> truncated(payload.begin(), payload.end() - 5);
   net::CtrlStatusBody ignored;
-  EXPECT_FALSE(net::DecodeCtrlStatusResponseBody(truncated, offset, &ignored));
+  EXPECT_FALSE(net::Decode(truncated, offset, &ignored));
 }
 
 TEST(CtrlStatusWireTest, ServerAnswersWithAndWithoutController) {

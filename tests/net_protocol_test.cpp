@@ -135,13 +135,13 @@ TEST(FrameCodec, TruncatedHeaderAndPayloadNeedMore) {
 TEST(PayloadCodec, SqlRequestRoundtripAndTrailingBytesRejected) {
   const std::string sql = "SELECT * FROM t WHERE a = 'x;y'";
   std::string decoded;
-  ASSERT_TRUE(DecodeSqlRequest(EncodeSqlRequest(sql), &decoded));
+  ASSERT_TRUE(Decode(Encode(sql), 0, &decoded));
   EXPECT_EQ(decoded, sql);
 
-  auto padded = EncodeSqlRequest(sql);
+  auto padded = Encode(sql);
   padded.push_back(0);
-  EXPECT_FALSE(DecodeSqlRequest(padded, &decoded));
-  EXPECT_FALSE(DecodeSqlRequest({1, 2}, &decoded));  // truncated length
+  EXPECT_FALSE(Decode(padded, 0, &decoded));
+  EXPECT_FALSE(Decode({1, 2}, 0, &decoded));  // truncated length
 }
 
 TEST(PayloadCodec, PredictRequestRoundtripBitExact) {
@@ -149,7 +149,7 @@ TEST(PayloadCodec, PredictRequestRoundtripBitExact) {
   ous.push_back({OuType::kSeqScan, {1.0, -0.0, 1e-308, 3.5, 0.0, 1.0, 0.0}});
   ous.push_back({OuType::kTxnCommit, {7.25}});
   std::vector<TranslatedOu> decoded;
-  ASSERT_TRUE(DecodePredictRequest(EncodePredictRequest(ous), &decoded));
+  ASSERT_TRUE(Decode(Encode(ous), 0, &decoded));
   ASSERT_EQ(decoded.size(), 2u);
   EXPECT_EQ(decoded[0].type, OuType::kSeqScan);
   ASSERT_EQ(decoded[0].features.size(), 7u);
@@ -163,17 +163,19 @@ TEST(PayloadCodec, PredictRequestRoundtripBitExact) {
 TEST(PayloadCodec, PredictRequestRejectsHostileInput) {
   std::vector<TranslatedOu> decoded;
   // Unknown OU type byte.
-  std::vector<uint8_t> bad = EncodePredictRequest({{OuType::kSeqScan, {1.0}}});
+  std::vector<uint8_t> bad =
+      Encode(std::vector<TranslatedOu>{{OuType::kSeqScan, {1.0}}});
   bad[4] = 0xee;
-  EXPECT_FALSE(DecodePredictRequest(bad, &decoded));
+  EXPECT_FALSE(Decode(bad, 0, &decoded));
   // Count that the remaining bytes cannot possibly hold.
   ByteWriter w;
   w.Put<uint32_t>(0x00ffffff);
-  EXPECT_FALSE(DecodePredictRequest(w.Take(), &decoded));
+  EXPECT_FALSE(Decode(w.Take(), 0, &decoded));
   // Truncated feature vector.
-  auto truncated = EncodePredictRequest({{OuType::kSeqScan, {1.0, 2.0}}});
+  auto truncated =
+      Encode(std::vector<TranslatedOu>{{OuType::kSeqScan, {1.0, 2.0}}});
   truncated.resize(truncated.size() - 3);
-  EXPECT_FALSE(DecodePredictRequest(truncated, &decoded));
+  EXPECT_FALSE(Decode(truncated, 0, &decoded));
 }
 
 TEST(PayloadCodec, SqlResponseRoundtripAllValueTypes) {
@@ -183,7 +185,7 @@ TEST(PayloadCodec, SqlResponseRoundtripAllValueTypes) {
   body.rows.push_back(
       {Value::Integer(-7), Value::Double(2.5), Value::Varchar("hello")});
   body.rows.push_back({Value::Varchar("")});
-  const auto payload = EncodeSqlResponse(body);
+  const auto payload = Encode(ResponseHead{}, body);
 
   WireCode code;
   std::string message;
@@ -191,7 +193,7 @@ TEST(PayloadCodec, SqlResponseRoundtripAllValueTypes) {
   ASSERT_TRUE(DecodeResponseHead(payload, &code, &message, &offset));
   EXPECT_EQ(code, WireCode::kOk);
   SqlResponseBody out;
-  ASSERT_TRUE(DecodeSqlResponseBody(payload, offset, &out));
+  ASSERT_TRUE(Decode(payload, offset, &out));
   EXPECT_EQ(out.elapsed_us, 123.5);
   EXPECT_TRUE(out.aborted);
   ASSERT_EQ(out.rows.size(), 2u);
@@ -207,26 +209,26 @@ TEST(PayloadCodec, PredictResponseRoundtripBitExact) {
   Labels a{};
   for (size_t j = 0; j < kNumLabels; j++) a[j] = 0.1 * static_cast<double>(j);
   body.per_ou = {a, Labels{}};
-  const auto payload = EncodePredictResponse(body);
+  const auto payload = Encode(ResponseHead{}, body);
 
   WireCode code;
   std::string message;
   size_t offset;
   ASSERT_TRUE(DecodeResponseHead(payload, &code, &message, &offset));
   PredictResponseBody out;
-  ASSERT_TRUE(DecodePredictResponseBody(payload, offset, &out));
+  ASSERT_TRUE(Decode(payload, offset, &out));
   EXPECT_EQ(out.degraded_ous, 3u);
   ASSERT_EQ(out.per_ou.size(), 2u);
   EXPECT_EQ(std::memcmp(out.per_ou[0].data(), a.data(), sizeof(Labels)), 0);
   // Truncated body rejected.
   auto cut = payload;
   cut.resize(cut.size() - 1);
-  EXPECT_FALSE(DecodePredictResponseBody(cut, offset, &out));
+  EXPECT_FALSE(Decode(cut, offset, &out));
 }
 
 TEST(PayloadCodec, StatusResponseAndErrorMapping) {
   const auto payload =
-      EncodeStatusResponse(WireCode::kDeadlineExceeded, "too slow");
+      Encode(ResponseHead{WireCode::kDeadlineExceeded, "too slow"});
   WireCode code;
   std::string message;
   size_t offset;

@@ -125,19 +125,6 @@ TEST_F(NetTest, PingStatsAndSessionAccounting) {
   EXPECT_GE(stats.active_connections, 1u);  // pooled connection stays open
   EXPECT_GT(stats.bytes_in, 0u);
   EXPECT_GT(stats.bytes_out, 0u);
-
-  EXPECT_GE(server_->sessions().Count(), 1u);
-  EXPECT_GE(server_->sessions().TotalAccepted(), 1u);
-  const auto sessions = server_->sessions().Snapshot();
-  ASSERT_FALSE(sessions.empty());
-  uint64_t total_requests = 0;
-  for (const auto &s : sessions) {
-    EXPECT_NE(s.peer.find("127.0.0.1"), std::string::npos);
-    total_requests += s.requests;
-    EXPECT_GT(s.bytes_in, 0u);
-    EXPECT_GT(s.bytes_out, 0u);
-  }
-  EXPECT_GE(total_requests, 2u);
 }
 
 TEST_F(NetTest, PooledConnectionsSurviveServerRestart) {
@@ -489,7 +476,6 @@ TEST(NetDrainTest, InFlightCompleteNewConnectionsRefused) {
   for (auto &thr : inflight) thr.join();
   EXPECT_EQ(ok_count.load(), 2);
   EXPECT_EQ(server->stats().active_connections, 0u);
-  EXPECT_EQ(server->sessions().Count(), 0u);
 
   // The listener is gone: fresh connections are refused.
   ClientOptions copts;
