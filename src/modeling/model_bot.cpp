@@ -122,11 +122,18 @@ TrainingReport ModelBot::TrainInterferenceModel(
     dataset.x = dataset.x.SelectRows(idx);
     dataset.y = dataset.y.SelectRows(idx);
   }
+  // Trained outside the lock, installed whole under it, like an OU model.
   if (dataset.x.rows() >= 10) {
-    interference_.Train(dataset.x, dataset.y, algorithms, seed);
+    InterferenceModel model;
+    model.Train(dataset.x, dataset.y, algorithms, seed);
+    std::unique_lock<std::shared_mutex> lock(models_mutex_);
+    interference_ = std::move(model);
   }
   report.samples = dataset.x.rows();
-  report.model_bytes = interference_.SerializedBytes();
+  {
+    std::shared_lock<std::shared_mutex> lock(models_mutex_);
+    report.model_bytes = interference_.SerializedBytes();
+  }
   report.train_seconds = SecondsSince(start);
   return report;
 }
@@ -433,8 +440,10 @@ IntervalPrediction ModelBot::PredictInterval(
   ratio_targets.insert(ratio_targets.end(), maintenance_pred.begin(),
                        maintenance_pred.end());
   for (const auto &[action, ap] : action_preds) ratio_targets.push_back(ap.total);
-  const std::vector<Labels> all_ratios =
-      interference_.AdjustmentRatiosBatch(ratio_targets, per_thread);
+  const std::vector<Labels> all_ratios = [&] {
+    std::shared_lock<std::shared_mutex> lock(models_mutex_);
+    return interference_.AdjustmentRatiosBatch(ratio_targets, per_thread);
+  }();
   size_t ratio_cursor = 0;
 
   double weighted_latency = 0.0;
@@ -618,13 +627,15 @@ Status ModelBot::LoadModels(const std::string &dir) {
     for (size_t j = 0; j < kNumLabels; j++) labels[j] = r.Get<double>();
     fallback[static_cast<OuType>(type_tag)] = labels;
   }
-  interference_.LoadFrom(&r);
+  InterferenceModel interference;
+  interference.LoadFrom(&r);
   if (!r.ok() || r.RemainingBytes() != 0) {
     return Status::InvalidArgument("corrupt model file");
   }
   std::unique_lock<std::shared_mutex> lock(models_mutex_);
   ou_models_ = std::move(loaded);
   fallback_labels_ = std::move(fallback);
+  interference_ = std::move(interference);
   ou_cache_.InvalidateAll();  // new model set: cached predictions are stale
   return Status::Ok();
 }

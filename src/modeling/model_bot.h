@@ -143,6 +143,8 @@ class ModelBot {
   Status LoadModels(const std::string &dir);
 
   const OuModel *GetOuModel(OuType type) const;
+  /// Unlocked: read it only while no TrainInterferenceModel or LoadModels
+  /// can replace it.
   const InterferenceModel &interference_model() const { return interference_; }
   OuTranslator &translator() { return translator_; }
   const OuTranslator &translator() const { return translator_; }
@@ -194,11 +196,13 @@ class ModelBot {
 
   OuTranslator translator_;
   SettingsManager *settings_;
-  /// Guards ou_models_ and fallback_labels_ against concurrent retraining:
-  /// serving (PredictOus, CheckDrift) holds it shared for the duration of a
-  /// batch — a model must not be replaced mid-prediction — while RetrainOu /
-  /// RetrainDrifted / LoadModels install replacements under the exclusive
-  /// side. Training itself (the slow part) runs outside the lock; only the
+  /// Guards ou_models_, fallback_labels_ and interference_ against
+  /// concurrent retraining: serving (PredictOus, PredictInterval, CheckDrift)
+  /// holds it shared for the duration of a batch — a model must not be
+  /// replaced mid-prediction — while RetrainOu / RetrainDrifted /
+  /// TrainInterferenceModel / LoadModels install replacements under the
+  /// exclusive side; LoadModels installs a file's whole set at once, or
+  /// nothing. Training itself (the slow part) runs outside the lock; only the
   /// pointer swap is exclusive. Never taken recursively: public entry points
   /// lock once and call *Unlocked internals.
   mutable std::shared_mutex models_mutex_;

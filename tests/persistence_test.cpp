@@ -6,7 +6,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
+#include "common/checksum.h"
 #include "common/fault_injector.h"
 #include "common/rng.h"
 #include "database.h"
@@ -302,6 +305,89 @@ TEST(PersistenceTest, SaveIsCrashAtomic) {
   ModelBot deployed(&db.catalog(), &db.estimator(), &db.settings());
   EXPECT_TRUE(deployed.LoadModels(dir).ok());
   EXPECT_NE(deployed.GetOuModel(OuType::kSeqScan), nullptr);
+}
+
+/// Concurrent-runner records for the kSeqScan model SyntheticRecords trains:
+/// the same OUs observed `ratio` times slower, spread over four threads in
+/// one interference window.
+std::vector<OuRecord> SlowedRecords(double ratio) {
+  std::vector<OuRecord> records = SyntheticRecords(OuType::kSeqScan, 150, 7);
+  for (size_t i = 0; i < records.size(); i++) {
+    for (double &label : records[i].labels) label *= ratio;
+    records[i].thread_id = i % 4;
+    records[i].end_time_us = static_cast<int64_t>(i) * 1000;
+  }
+  return records;
+}
+
+/// A bot with a kSeqScan model and an interference model trained on OUs
+/// `ratio` times slower than in isolation (ratio 0: no interference model).
+std::unique_ptr<ModelBot> TrainedBot(Database *db, double ratio) {
+  auto bot = std::make_unique<ModelBot>(&db->catalog(), &db->estimator(),
+                                        &db->settings());
+  bot->TrainOuModels(SyntheticRecords(OuType::kSeqScan, 150, 7),
+                     {MlAlgorithm::kLinear});
+  if (ratio > 0) {
+    bot->TrainInterferenceModel(SlowedRecords(ratio), {MlAlgorithm::kLinear});
+  }
+  return bot;
+}
+
+/// The elapsed-time ratio the bot's interference model gives one OU beside
+/// three busy threads.
+double ElapsedRatio(const ModelBot &bot) {
+  Labels target{};
+  target[kLabelElapsedUs] = 100.0;
+  target[kLabelCpuTimeUs] = 80.0;
+  const std::vector<Labels> per_thread(3, target);
+  return bot.interference_model().AdjustmentRatios(target,
+                                                   per_thread)[kLabelElapsedUs];
+}
+
+TEST(PersistenceTest, RejectedLoadKeepsTheInterferenceModel) {
+  Database db;
+  const auto saved = TrainedBot(&db, 1.9);
+  TempDir tmp;
+  ASSERT_TRUE(saved->SaveModels(tmp.path()).ok());
+
+  // The saved payload plus one trailing byte, sealed with a valid checksum:
+  // it passes the checksum gate and fails the structural check after the
+  // interference model has been read.
+  const std::string path = tmp.File("mb2_models.bin");
+  std::vector<uint8_t> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GT(bytes.size(), sizeof(uint32_t));
+  bytes.resize(bytes.size() - sizeof(uint32_t));
+  bytes.push_back(0);
+  const uint32_t crc = Crc32(bytes.data(), bytes.size());
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    out.write(reinterpret_cast<const char *>(&crc), sizeof(crc));
+  }
+
+  const auto deployed = TrainedBot(&db, 1.2);
+  const double before = ElapsedRatio(*deployed);
+  ASSERT_NE(before, ElapsedRatio(*saved));
+  EXPECT_FALSE(deployed->LoadModels(tmp.path()).ok());
+  EXPECT_EQ(ElapsedRatio(*deployed), before);
+}
+
+TEST(PersistenceTest, LoadWithoutAnInterferenceModelDropsTheOldOne) {
+  Database db;
+  const auto saved = TrainedBot(&db, 0.0);
+  ASSERT_FALSE(saved->interference_model().trained());
+  TempDir tmp;
+  ASSERT_TRUE(saved->SaveModels(tmp.path()).ok());
+
+  const auto deployed = TrainedBot(&db, 1.2);
+  ASSERT_TRUE(deployed->interference_model().trained());
+  ASSERT_TRUE(deployed->LoadModels(tmp.path()).ok());
+  EXPECT_FALSE(deployed->interference_model().trained());
 }
 
 TEST(PersistenceTest, InterferenceModelRoundTrip) {
