@@ -589,8 +589,7 @@ void Server::ExecuteRequest(const std::shared_ptr<Connection> &conn,
   std::vector<uint8_t> response;
   if (deadline_us > 0 && start_us > deadline_us) {
     n_deadline_.fetch_add(1, std::memory_order_relaxed);
-    response =
-        Answer(WireCode::kDeadlineExceeded, "request expired in queue");
+    response = Answer(WireCode::kDeadlineExceeded, "request expired in queue");
   } else {
     try {
       response = DispatchOpcode(frame);
